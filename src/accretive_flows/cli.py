@@ -1,8 +1,9 @@
 """Command-line front end: config ingestion, experiment execution, report emission.
 
 Exit codes: 0 = all certificates PASS, 1 = at least one FAIL,
-2 = configuration error.  Identical invocations (same config and seed)
-produce byte-identical JSON reports.
+2 = configuration error, 3 = resource limit (a grid, evaluation budget,
+threshold or iteration count beyond its hard cap).  Identical invocations
+(same config and seed) produce byte-identical JSON reports.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def parse_and_run(argv) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
     if args.verbose:
         n_fail = sum(1 for r in report.rows if r.status == "FAIL")

@@ -94,6 +94,10 @@ FAIL = "FAIL"
 MAX_GRID_POINTS = 10**6
 #: verify_metastability refuses to evaluate more points than this per cell
 MAX_WINDOW_EVALS = 10**7
+#: d > 1 point sets up to this many rows get an exact diameter
+EXACT_DIAMETER_ROWS = 4096
+#: rows per block of the pairwise diameter scan; small blocks stay in cache
+_DIAMETER_BLOCK = 32
 
 
 def _status(observed: float, target: float, slack: float) -> str:
@@ -172,27 +176,78 @@ class Report:
         }
 
 
-def _diameter(points: np.ndarray) -> tuple[float, str]:
-    """Largest pairwise distance among row vectors, with the method used.
+def _suffix_diameters(points: np.ndarray, starts: Sequence[int]) -> list[tuple[float, str]]:
+    """Largest pairwise distance among the rows of ``points[s:]`` for every
+    ``s`` in ``starts``, each with the method used.
 
-    Exact for 1-d data and for moderate point counts; otherwise the sound
-    upper bound 2 * max distance to the centroid is reported.
+    All suffixes come from one pass.  1-d data is exact through a reversed
+    running max and min.  For d > 1, each row's largest squared distance to
+    a later row is computed block by block; a reversed running max of those
+    gives every suffix exactly.  A d > 1 suffix longer than
+    ``EXACT_DIAMETER_ROWS`` gets the sound upper bound 2 * max distance to
+    its centroid instead.
     """
     n, d = points.shape
-    if n <= 1:
-        return 0.0, "exact"
-    if d == 1:
+    cuts = sorted({s for s in starts if s < n - 1 and (d == 1 or n - s <= EXACT_DIAMETER_ROWS)})
+    exact = {}
+    if cuts and d == 1:
         col = points[:, 0]
-        return float(col.max() - col.min()), "exact"
-    if n <= 4096:
-        best = 0.0
-        for i in range(0, n, 512):
-            diff = points[i:i + 512, None, :] - points[None, :, :]
-            best = max(best, float(np.sqrt((diff ** 2).sum(-1)).max()))
-        return best, "exact"
-    centroid = points.mean(axis=0)
-    r = float(np.linalg.norm(points - centroid, axis=1).max())
-    return 2.0 * r, "centroid-upper-bound"
+        spread = _suffix_reduce(np.maximum, col, cuts) - _suffix_reduce(np.minimum, col, cuts)
+        exact = dict(zip(cuts, spread.tolist()))
+    elif cuts:
+        m = cuts[0]
+        sq = _suffix_reduce(np.maximum, _later_row_maxima(points[m:]), [c - m for c in cuts])
+        exact = dict(zip(cuts, np.sqrt(sq).tolist()))
+    out = []
+    for s in starts:
+        if n - s <= 1:
+            out.append((0.0, "exact"))
+        elif s in exact:
+            out.append((exact[s], "exact"))
+        else:
+            suffix = points[s:]
+            r = float(np.linalg.norm(suffix - suffix.mean(axis=0), axis=1).max())
+            out.append((2.0 * r, "centroid-upper-bound"))
+    return out
+
+
+def _suffix_reduce(ufunc: np.ufunc, values: np.ndarray, cuts: list[int]) -> np.ndarray:
+    """``ufunc.reduce(values[c:])`` for each of the sorted ``cuts``."""
+    return ufunc.accumulate(ufunc.reduceat(values, cuts)[::-1])[::-1]
+
+
+def _later_row_maxima(points: np.ndarray) -> np.ndarray:
+    """Row i: the largest squared distance from row i to a later row (0 for
+    the last row)."""
+    n, d = points.shape
+    out = np.zeros(n)
+    earlier = np.tri(_DIAMETER_BLOCK, dtype=bool)  # pairs j <= i inside a block
+    coords = np.ascontiguousarray(points.T)
+    sq_buf, diff_buf = np.empty((2, _DIAMETER_BLOCK * n))
+    for i0 in range(0, n, _DIAMETER_BLOCK):
+        b, width = min(_DIAMETER_BLOCK, n - i0), n - i0
+        sq = sq_buf[:b * width].reshape(b, width)
+        if d < 8:
+            # coordinate by coordinate, in order: the same bits numpy's sum
+            # gives for fewer than 8 terms, without a (b, width, d) temporary
+            diff = diff_buf[:b * width].reshape(b, width)
+            sq.fill(0.0)
+            for col in coords[:, i0:]:
+                np.subtract(col[:b, None], col[None, :], out=diff)
+                diff *= diff
+                sq += diff
+        else:
+            # numpy's pairwise summation regroups 8 or more terms
+            ((points[i0:i0 + b, None, :] - points[None, i0:, :]) ** 2).sum(-1, out=sq)
+        sq[:, :b][earlier[:b, :b]] = 0.0
+        sq.max(axis=1, out=out[i0:i0 + b])
+    return out
+
+
+def _diameter(points: np.ndarray) -> tuple[float, str]:
+    """Largest pairwise distance among row vectors, with the method used;
+    the one-suffix case of ``_suffix_diameters``."""
+    return _suffix_diameters(points, [0])[0]
 
 
 def _window_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -312,9 +367,8 @@ def _verify_pairwise(
         grid={"grid_step": grid_step, "horizon": float(horizon), "points": int(grid.size),
               "err_bound": err_bound},
     )
-    for k in ks:
-        idx = int(np.searchsorted(grid, thresholds[k] - 1e-9))
-        extent, mode = _diameter(points[idx:])
+    starts = [int(np.searchsorted(grid, thresholds[k] - 1e-9)) for k in ks]
+    for k, (extent, mode) in zip(ks, _suffix_diameters(points, starts)):
         target = 1.0 / (k + 1)
         status = _status(extent, target, slack)
         report.rows.append(ReportRow(
@@ -444,12 +498,14 @@ def verify_almost_orbit_rate(
         provenance={"operator": u.operator.name, "rate": rate_label(u.rate_phi)},
     )
     ts = np.arange(0.0, horizon + grid_step / 2, grid_step)
+    s_max = int(math.floor(horizon))
+    at_start = u.evaluate_many(np.arange(s_max + 1, dtype=float))
     for k in range(k_max + 1):
         s0 = int(u.rate_phi(k))
         target = 1.0 / (k + 1)
         worst = 0.0
-        for s in range(s0, int(math.floor(horizon)) + 1):
-            flowed = evaluate_oracle_many(u.operator, u.evaluate(float(s)), ts)
+        for s in range(s0, s_max + 1):
+            flowed = evaluate_oracle_many(u.operator, at_start[s], ts)
             along = u.evaluate_many(ts + float(s))
             defect = float(np.linalg.norm(along - flowed, axis=1).max())
             worst = max(worst, defect)

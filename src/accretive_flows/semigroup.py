@@ -26,7 +26,7 @@ admits the exact integer rate  phi(k) = ceil(2c(k+1) - 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -187,21 +187,33 @@ def trajectory(op: AccretiveOperator, x, grid, tol: float) -> Trajectory:
 
 @dataclass(frozen=True)
 class AlmostOrbit:
-    """A continuous curve whose defect against the flow decays at a known rate.
+    """Perturbed orbit u(t) = S(t)x + (c/(1+t)) e whose defect against the
+    flow decays at a known rate.
 
-    ``rate_phi(k)`` bounds the time after which the defect
-    sup_t ||u(t+s) - S(t)u(s)|| stays below 1/(k+1), and ``bound_B`` bounds
-    ||u(t) - zero|| for all t.
+    The curve is stored by its data -- start point ``initial``, perturbation
+    size ``c`` and unit ``direction`` -- and evaluated in batches from the
+    operator's closed-form flow.  ``rate_phi(k)`` bounds the time after which
+    the defect sup_t ||u(t+s) - S(t)u(s)|| stays below 1/(k+1), and
+    ``bound_B`` bounds ||u(t) - zero|| for all t.  Build it with
+    ``make_almost_orbit``.
     """
 
     operator: AccretiveOperator
-    evaluate: Callable[[float], np.ndarray]
+    initial: np.ndarray
+    c: float
+    direction: np.ndarray
     rate_phi: Callable[[int], int]
     bound_B: int
     zero: np.ndarray
 
     def evaluate_many(self, ts) -> np.ndarray:
-        return np.stack([self.evaluate(float(t)) for t in np.asarray(ts, dtype=float)])
+        """u at every time in ``ts``; rows follow ``ts``."""
+        ts = np.asarray(ts, dtype=float)
+        flow = evaluate_oracle_many(self.operator, self.initial, ts)
+        return flow + (self.c / (1.0 + ts))[:, None] * self.direction[None, :]
+
+    def evaluate(self, t: float) -> np.ndarray:
+        return self.evaluate_many([t])[0]
 
 
 def _harmonic_decay_rate(c: float) -> Callable[[int], int]:
@@ -230,16 +242,12 @@ def make_almost_orbit(op: AccretiveOperator, x, c: float, direction) -> AlmostOr
     if e.shape != x.shape:
         raise ValueError("direction dimension must match the initial point")
 
-    def evaluate(t: float) -> np.ndarray:
-        return evaluate_oracle(op, x, t) + (c / (1.0 + t)) * e
-
     phi = _harmonic_decay_rate(c)
     p = op.zero_witness()
-    s_star = phi(0)
-    grid = np.arange(0.0, s_star + 1.0 + 1e-9, 0.05)
-    probe = AlmostOrbit(operator=op, evaluate=evaluate, rate_phi=phi, bound_B=1, zero=p)
-    B = almost_orbit_bound(probe, p, grid)
-    return AlmostOrbit(operator=op, evaluate=evaluate, rate_phi=phi, bound_B=B, zero=p)
+    grid = np.arange(0.0, phi(0) + 1.0 + 1e-9, 0.05)
+    probe = AlmostOrbit(operator=op, initial=x, c=float(c), direction=e,
+                        rate_phi=phi, bound_B=1, zero=p)
+    return replace(probe, bound_B=almost_orbit_bound(probe, p, grid))
 
 
 def almost_orbit_bound(u: AlmostOrbit, p, grid) -> int:
@@ -253,9 +261,8 @@ def almost_orbit_bound(u: AlmostOrbit, p, grid) -> int:
     s_star = float(u.rate_phi(0))
     ts = np.append(np.asarray(grid, dtype=float), s_star)
     gaps = np.linalg.norm(u.evaluate_many(ts) - p[None, :], axis=1)
-    grid_max = float(np.max(gaps))
-    tail = 1.0 + float(np.linalg.norm(u.evaluate(s_star) - p))
-    return max(1, int(math.ceil(max(grid_max, tail))))
+    tail = 1.0 + float(gaps[-1])
+    return max(1, int(math.ceil(max(float(np.max(gaps)), tail))))
 
 
 def almost_orbit_defect(u: AlmostOrbit, s: float, t: float) -> float:

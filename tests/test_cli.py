@@ -94,6 +94,15 @@ def test_unknown_field_exits_two_and_names_it(tmp_path, capsys):
     assert "surprise" in capsys.readouterr().err
 
 
+def test_resource_limit_exits_three(tmp_path, capsys):
+    # thresholds up to 108 at step 1e-4 need more than MAX_GRID_POINTS points
+    cfg = _write(tmp_path, "huge.json", _nr_config(grid_step=1e-4))
+    assert parse_and_run(["certify-nr", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "resource limit" in err
+    assert "grid points" in err
+
+
 def test_scenario_subcommand_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, "nr.json", _nr_config())
     assert parse_and_run(["certify-xu-meta", "--config", str(cfg)]) == 2

@@ -19,7 +19,7 @@ from accretive_flows import (
     trajectory,
 )
 from accretive_flows.cli import parse_and_run, render_report
-from accretive_flows.harness import _diameter
+from accretive_flows.harness import EXACT_DIAMETER_ROWS, _diameter, _suffix_diameters
 
 
 # ----------------------------------------------------------- diameter helper
@@ -50,6 +50,51 @@ def test_diameter_upper_bound_mode_is_sound(rng):
 def test_diameter_degenerate_cases():
     assert _diameter(np.zeros((1, 3))) == (0.0, "exact")
     assert _diameter(np.zeros((0, 2)))[0] == 0.0
+    assert _diameter(np.zeros((0, 1))) == (0.0, "exact")
+
+
+def _diameter_reference(points):
+    # the per-suffix formula _suffix_diameters replaced, kept as the oracle
+    n, d = points.shape
+    if n <= 1:
+        return 0.0, "exact"
+    if d == 1:
+        col = points[:, 0]
+        return float(col.max() - col.min()), "exact"
+    if n <= 4096:
+        best = 0.0
+        for i in range(0, n, 512):
+            diff = points[i:i + 512, None, :] - points[None, :, :]
+            best = max(best, float(np.sqrt((diff ** 2).sum(-1)).max()))
+        return best, "exact"
+    centroid = points.mean(axis=0)
+    r = float(np.linalg.norm(points - centroid, axis=1).max())
+    return 2.0 * r, "centroid-upper-bound"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 16])
+def test_suffix_diameters_match_reference_bit_for_bit(rng, d):
+    n = 1100  # many row blocks, the last one partial
+    pts = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0, size=d)
+    # unsorted, with a repeat: thresholds of different k may coincide
+    starts = [1000, 0, 1, 17, 31, 32, 33, 511, 512, 512, 513, n - 2, n - 1, n]
+    got = _suffix_diameters(pts, starts)
+    assert got == [_diameter_reference(pts[s:]) for s in starts]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_suffix_diameters_mode_switch_at_exact_limit(rng, d):
+    assert EXACT_DIAMETER_ROWS == 4096
+    n = 4100
+    pts = rng.normal(size=(n, d))
+    # suffix lengths 4100, 4097, 4096, 4095, then the short end
+    starts = [0, 3, 4, 5, n - 1, n]
+    got = _suffix_diameters(pts, starts)
+    want = [_diameter_reference(pts[s:]) for s in starts]
+    assert got == want
+    modes = [mode for _, mode in got]
+    assert modes[:2] == ["centroid-upper-bound" if d > 1 else "exact"] * 2
+    assert modes[2:] == ["exact"] * 4
 
 
 # ------------------------------------------------- flow evaluation, multi-d

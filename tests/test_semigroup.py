@@ -8,6 +8,7 @@ from accretive_flows import (
     almost_orbit_bound,
     almost_orbit_defect,
     cl_error_bound,
+    dirichlet_laplacian_1d,
     evaluate_oracle,
     evaluate_oracle_many,
     evaluate_semigroup,
@@ -203,6 +204,40 @@ def test_exact_orbit_is_almost_orbit(scaled_identity):
     assert all(u.rate_phi(k) == 0 for k in range(6))
     for t in (0.0, 1.0, 3.5):
         assert u.evaluate(t) == pytest.approx(evaluate_oracle(scaled_identity, [2.0], t))
+
+
+ORBIT_CASES = [
+    (make_scaled_identity(1.0, 1), [2.0], [-1.0]),
+    (make_scaled_identity(0.5, 3), [1.0, -2.0, 0.5], [0.6, 0.0, -0.8]),
+    (make_spd_linear(dirichlet_laplacian_1d(4)), [1.0, -0.5, 2.0, 0.25], [0.5, 0.5, 0.5, -0.5]),
+    (make_quartic_well(), [-2.5], [1.0]),
+]
+
+
+@pytest.mark.parametrize("op,x,e", ORBIT_CASES, ids=lambda v: getattr(v, "name", None))
+def test_orbit_evaluate_many_is_flow_plus_decay(op, x, e):
+    c = 1.5
+    u = make_almost_orbit(op, x, c, e)
+    ts = np.array([0.0, 0.1, 1.0, 2.75, 10.0, 250.0])
+    want = np.stack([
+        evaluate_oracle(op, x, float(t)) + (c / (1.0 + t)) * np.asarray(e) for t in ts
+    ])
+    np.testing.assert_allclose(u.evaluate_many(ts), want, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("op,x,e", ORBIT_CASES, ids=lambda v: getattr(v, "name", None))
+def test_orbit_point_evaluation_is_the_one_row_batch(op, x, e):
+    u = make_almost_orbit(op, x, 0.75, e)
+    for t in (0.0, 0.3, 7.0):
+        assert np.array_equal(u.evaluate(t), u.evaluate_many([t])[0])
+
+
+@pytest.mark.parametrize("op,x,e", ORBIT_CASES, ids=lambda v: getattr(v, "name", None))
+def test_unperturbed_orbit_has_zero_rate(op, x, e):
+    u = make_almost_orbit(op, x, 0.0, e)
+    assert all(u.rate_phi(k) == 0 for k in range(50))
+    ts = np.linspace(0.0, 5.0, 11)
+    np.testing.assert_array_equal(u.evaluate_many(ts), evaluate_oracle_many(op, x, ts))
 
 
 def test_perturbed_orbit_rate(orbit_c1):
