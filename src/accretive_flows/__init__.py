@@ -8,7 +8,7 @@ empirically against closed-form flow oracles.
 """
 
 from .errors import ConfigurationError, ResourceLimitError
-from .space import Point, SpaceModel, as_point, eta_hilbert, norm, pairing
+from .space import Point, as_point, eta_hilbert, norm, pairing
 from .operators import (
     AccretiveOperator,
     AccretivityReport,

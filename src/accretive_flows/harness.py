@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,8 +142,8 @@ class ReportRow:
 class Report:
     """Outcome of one verification scenario.
 
-    ``runtime_seconds`` is measured but excluded from serialization so that
-    identical runs produce byte-identical reports.
+    ``runtime_seconds`` is set by ``run_experiment`` and excluded from
+    serialization so that identical runs produce byte-identical reports.
     """
 
     scenario: str
@@ -269,7 +269,6 @@ def verify_integrable_dip(
 ) -> Report:
     """For f >= 0 with integral <= L: every window [n, ceil(L+1)(k+1)+n]
     must contain a grid point where f <= 1/(k+1) + tol."""
-    start = time.perf_counter()
     width_mult = math.ceil(L + 1)
     report = Report(
         scenario="integrable-dip",
@@ -290,7 +289,6 @@ def verify_integrable_dip(
             worst_observed=worst, target=target, slack=tol,
             status=_status(worst, target, tol),
         ))
-    report.runtime_seconds = time.perf_counter() - start
     return report
 
 
@@ -306,7 +304,6 @@ def verify_flow_pairing_dip(
     """Along the flow from x with ||x - Px|| <= b, every window
     [n, ceil(b^2/2+1)(k+1)+n] must contain a grid point where the pairing
     <A w(t), w(t) - Pw(t)> <= 1/(k+1) + tol."""
-    start = time.perf_counter()
     x = as_point(x)
     dip = pairing_dip_rate(b)
     report = Report(
@@ -332,7 +329,6 @@ def verify_flow_pairing_dip(
             worst_observed=worst, target=target, slack=tol,
             status=_status(worst, target, tol),
         ))
-    report.runtime_seconds = time.perf_counter() - start
     return report
 
 
@@ -349,7 +345,6 @@ def _verify_pairwise(
     err_bound: float = 0.0,
     provenance: dict | None = None,
 ) -> Report:
-    start = time.perf_counter()
     ks = sorted(int(k) for k in k_range)
     thresholds = {k: int(threshold(k)) for k in ks}
     t_lo = min(thresholds.values())
@@ -378,7 +373,6 @@ def _verify_pairwise(
         ))
         if status == FAIL:
             report.violations.append({"k": k, "threshold": thresholds[k], "extent": extent})
-    report.runtime_seconds = time.perf_counter() - start
     return report
 
 
@@ -441,7 +435,6 @@ def verify_metastability(
     """For each k and counterfunction f, search n <= gamma_bound(k, f) for a
     window [n, n + f(n)] on which the orbit moves at most 1/(k+1) + tol;
     report the witnessing n."""
-    start = time.perf_counter()
     report = Report(
         scenario="metastability",
         grid={"grid_step": grid_step},
@@ -477,7 +470,6 @@ def verify_metastability(
                 report.violations.append(
                     {"k": k, "counterfunction": rate_label(f), "bound": bound}
                 )
-    report.runtime_seconds = time.perf_counter() - start
     return report
 
 
@@ -491,7 +483,6 @@ def verify_almost_orbit_rate(
     """Check the defect rate of an almost-orbit: for every integer
     s in [rate_phi(k), horizon], sup over the t-grid of
     ||u(s+t) - S(t)u(s)|| must stay below 1/(k+1) + tol."""
-    start = time.perf_counter()
     report = Report(
         scenario="almost-orbit-rate",
         grid={"grid_step": grid_step, "horizon": horizon},
@@ -516,7 +507,6 @@ def verify_almost_orbit_rate(
         ))
         if status == FAIL:
             report.violations.append({"k": k, "s_from": s0, "worst": worst})
-    report.runtime_seconds = time.perf_counter() - start
     return report
 
 
@@ -579,74 +569,87 @@ def _require(spec: dict, key: str, field_name: str):
     return spec[key]
 
 
-def build_operator(spec: dict) -> AccretiveOperator:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError("operator", "must be an object with a 'kind'")
-    kind = spec["kind"]
-    try:
-        if kind == "scaled-identity":
-            return make_scaled_identity(float(spec.get("alpha", 1.0)), int(spec.get("dim", 1)))
-        if kind == "spd":
-            return make_spd_linear(np.asarray(_require(spec, "matrix", "operator.matrix"), dtype=float))
-        if kind == "spd-laplacian-1d":
-            return make_spd_linear(dirichlet_laplacian_1d(int(_require(spec, "size", "operator.size"))))
-        if kind == "quartic-well":
-            return make_quartic_well()
-    except (ValueError, TypeError) as exc:
-        raise ConfigurationError("operator", str(exc)) from exc
-    raise ConfigurationError("operator.kind", f"unknown operator kind '{kind}'")
+# Each table maps a config ``kind`` to (its parameters, as list-instances
+# shows them for operators and moduli; its builder from the config object).
+
+_OPERATORS = {
+    "scaled-identity": ("alpha (>0), dim (>=1)", lambda s: make_scaled_identity(
+        float(s.get("alpha", 1.0)), int(s.get("dim", 1)))),
+    "spd": ("matrix (symmetric positive definite)", lambda s: make_spd_linear(
+        np.asarray(_require(s, "matrix", "operator.matrix"), dtype=float))),
+    "spd-laplacian-1d": ("size (tridiagonal -1,2,-1)", lambda s: make_spd_linear(
+        dirichlet_laplacian_1d(int(_require(s, "size", "operator.size"))))),
+    "quartic-well": ("none (scalar, zero set [-1,1])", lambda s: make_quartic_well()),
+}
+
+_MODULI = {
+    "strongly-accretive": ("a (integer >= ceil(1/alpha))", lambda s:
+        full_modulus_strongly_accretive(int(_require(s, "a", "modulus.a")))),
+    "laplacian": ("Lambda (integer >= 1/lambda_min)", lambda s: full_modulus_min_eigenvalue(
+        int(_require(s, "Lambda", "modulus.Lambda")))),
+    "quartic-well": ("none", lambda s: full_modulus_quartic_well()),
+    "linear-k": ("none (deliberately weak; counterexamples)", lambda s: full_modulus_linear()),
+    "dyadic-scaled-identity": ("alpha, Z", lambda s: full_modulus_from_dyadic(
+        theta_scaled_identity(float(s.get("alpha", 1.0))), int(s.get("Z", 0)))),
+}
+
+_OMEGAS = {
+    "identity": ("none", lambda s: projection_modulus_identity()),
+    "from-convexity": ("none", lambda s: projection_modulus_from_convexity()),
+}
+
+#: metastability functionals; None stands for the orbit's own rate
+_FUNCTIONALS = {
+    "orbit-rate": ("none", lambda s: None),
+    "from-rate": ("rate (rate expression)", lambda s: FromRateFunctional(
+        rate_from_spec(_require(s, "rate", "phi.rate")))),
+    "constant": ("value (integer)", lambda s: ConstantFunctional(
+        int(_require(s, "value", "phi.value")))),
+}
 
 
-def build_full_modulus(spec: dict) -> FullModulus:
+def _build(table: dict, spec, field_name: str):
+    """Build the ``table`` kind that config object ``spec`` names; errors
+    name ``field_name``."""
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError("modulus", "must be an object with a 'kind'")
+        raise ConfigurationError(field_name, "must be an object with a 'kind'")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigurationError(f"{field_name}.kind", f"unknown {field_name} kind '{kind}'")
     try:
-        if kind == "strongly-accretive":
-            return full_modulus_strongly_accretive(int(_require(spec, "a", "modulus.a")))
-        if kind == "laplacian":
-            return full_modulus_min_eigenvalue(int(_require(spec, "Lambda", "modulus.Lambda")))
-        if kind == "quartic-well":
-            return full_modulus_quartic_well()
-        if kind == "linear-k":
-            return full_modulus_linear()
-        if kind == "dyadic-scaled-identity":
-            theta = theta_scaled_identity(float(spec.get("alpha", 1.0)))
-            return full_modulus_from_dyadic(theta, int(spec.get("Z", 0)))
+        return table[kind][1](spec)
     except ConfigurationError:
         raise
     except (ValueError, TypeError) as exc:
-        raise ConfigurationError("modulus", str(exc)) from exc
-    raise ConfigurationError("modulus.kind", f"unknown modulus kind '{kind}'")
+        raise ConfigurationError(field_name, str(exc)) from exc
+
+
+def build_operator(spec: dict) -> AccretiveOperator:
+    return _build(_OPERATORS, spec, "operator")
+
+
+def build_full_modulus(spec: dict) -> FullModulus:
+    return _build(_MODULI, spec, "modulus")
 
 
 def registered_pairs() -> list[tuple[str, AccretiveOperator, FullModulus]]:
     """The canonical operator/modulus zoo used by conversion-chain checks."""
-    return [
-        ("scaled-identity+strongly-accretive",
-         make_scaled_identity(1.0, 1), full_modulus_strongly_accretive(1)),
+    return [(name, build_operator(op), build_full_modulus(full)) for name, op, full in (
+        ("scaled-identity+strongly-accretive", {"kind": "scaled-identity", "alpha": 1.0, "dim": 1},
+         {"kind": "strongly-accretive", "a": 1}),
         ("spd-laplacian-1d+laplacian",
-         make_spd_linear(dirichlet_laplacian_1d(4)), full_modulus_min_eigenvalue(3)),
-        ("quartic-well+quartic-well",
-         make_quartic_well(), full_modulus_quartic_well()),
-        ("scaled-identity+dyadic-chain",
-         make_scaled_identity(1.0, 2),
-         full_modulus_from_dyadic(theta_scaled_identity(1.0), 0)),
-    ]
+         {"kind": "spd-laplacian-1d", "size": 4}, {"kind": "laplacian", "Lambda": 3}),
+        ("quartic-well+quartic-well", {"kind": "quartic-well"}, {"kind": "quartic-well"}),
+        ("scaled-identity+dyadic-chain", {"kind": "scaled-identity", "alpha": 1.0, "dim": 2},
+         {"kind": "dyadic-scaled-identity", "alpha": 1.0, "Z": 0}),
+    )]
 
 
 def instance_listing() -> str:
-    lines = ["operators:"]
-    lines += [f"  scaled-identity      params: alpha (>0), dim (>=1)",
-              f"  spd                  params: matrix (symmetric positive definite)",
-              f"  spd-laplacian-1d     params: size (tridiagonal -1,2,-1)",
-              f"  quartic-well         params: none (scalar, zero set [-1,1])"]
-    lines.append("moduli:")
-    lines += [f"  strongly-accretive   params: a (integer >= ceil(1/alpha))",
-              f"  laplacian            params: Lambda (integer >= 1/lambda_min)",
-              f"  quartic-well         params: none",
-              f"  linear-k             params: none (deliberately weak; counterexamples)",
-              f"  dyadic-scaled-identity  params: alpha, Z"]
+    lines = []
+    for title, table in (("operators", _OPERATORS), ("moduli", _MODULI)):
+        lines.append(f"{title}:")
+        lines += [f"  {kind:<20} params: {text}" for kind, (text, _) in table.items()]
     lines.append("registered operator+modulus pairs:")
     for name, op, full in registered_pairs():
         lines.append(f"  {name}  ({op.name} with {rate_label(full)})")
@@ -655,12 +658,17 @@ def instance_listing() -> str:
 
 # ------------------------------------------------------------- experiments
 
-_SCENARIOS = ("nr", "nr-closure", "xu-meta", "xu-roc", "modulus-check", "liminf-check")
-
 _INTEGRANDS = {
     "inv-square": lambda t: 1.0 / (1.0 + t) ** 2,
     "zero": lambda t: 0.0,
 }
+
+
+def _number(convert, value, field_name: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(field_name, f"must be a number, got {value!r}") from exc
 
 
 @dataclass
@@ -685,12 +693,6 @@ class ExperimentConfig:
     closure: dict | None = None
     liminf: dict | None = None
 
-    _KNOWN = (
-        "scenario", "operator", "initial_point", "modulus", "k_range",
-        "counterfunctions", "grid_step", "horizon_pad", "tolerance", "seed",
-        "bound_K", "samples", "almost_orbit", "omega", "phi", "closure", "liminf",
-    )
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
@@ -699,14 +701,18 @@ class ExperimentConfig:
             if key not in cls._KNOWN:
                 raise ConfigurationError(key, "unknown config field")
         scenario = raw.get("scenario")
-        if scenario not in _SCENARIOS:
+        if not isinstance(scenario, str) or scenario not in _SCENARIOS:
             raise ConfigurationError(
                 "scenario", f"must be one of {', '.join(_SCENARIOS)}; got {scenario!r}"
             )
         cfg = cls(scenario=scenario)
-        for key in cls._KNOWN[1:]:
-            if key in raw and raw[key] is not None:
-                setattr(cfg, key, raw[key])
+        for f in fields(cls)[1:]:
+            value = raw.get(f.name)
+            if value is None:
+                continue
+            if f.type == "dict | None" and not isinstance(value, dict):
+                raise ConfigurationError(f.name, "must be an object")
+            setattr(cfg, f.name, value)
         try:
             lo, hi = (int(v) for v in cfg.k_range)
         except (TypeError, ValueError) as exc:
@@ -714,17 +720,17 @@ class ExperimentConfig:
         if lo < 0 or hi < lo:
             raise ConfigurationError("k_range", f"invalid range [{lo}, {hi}]")
         cfg.k_range = (lo, hi)
-        cfg.grid_step = float(cfg.grid_step)
+        cfg.grid_step = _number(float, cfg.grid_step, "grid_step")
         if cfg.grid_step <= 0:
             raise ConfigurationError("grid_step", "must be positive")
-        cfg.horizon_pad = float(cfg.horizon_pad)
+        cfg.horizon_pad = _number(float, cfg.horizon_pad, "horizon_pad")
         if cfg.horizon_pad < 0:
             raise ConfigurationError("horizon_pad", "must be nonnegative")
-        cfg.tolerance = float(cfg.tolerance)
+        cfg.tolerance = _number(float, cfg.tolerance, "tolerance")
         if cfg.tolerance <= 0:
             raise ConfigurationError("tolerance", "must be positive")
         if cfg.seed is not None:
-            cfg.seed = int(cfg.seed)
+            cfg.seed = _number(int, cfg.seed, "seed")
         return cfg
 
     def to_dict(self) -> dict:
@@ -737,103 +743,128 @@ class ExperimentConfig:
         return out
 
 
-def _cfg_point(cfg: ExperimentConfig):
+ExperimentConfig._KNOWN = tuple(f.name for f in fields(ExperimentConfig))
+
+
+def _cfg_point(cfg: ExperimentConfig, op: AccretiveOperator):
     if cfg.initial_point is None:
         raise ConfigurationError("initial_point", "required for this scenario")
     try:
-        return as_point(cfg.initial_point)
-    except ValueError as exc:
+        return op._check_dim(cfg.initial_point)
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError("initial_point", str(exc)) from exc
 
 
-def _cfg_weak_modulus(cfg: ExperimentConfig):
-    if cfg.modulus is None:
-        raise ConfigurationError("modulus", "required for this scenario")
-    return weak_from_full(build_full_modulus(cfg.modulus))
-
-
 def _cfg_orbit(cfg: ExperimentConfig, op: AccretiveOperator) -> AlmostOrbit:
+    x = _cfg_point(cfg, op)
     spec = cfg.almost_orbit or {}
+    direction = spec.get("direction")
     try:
         c = float(spec.get("c", 0.0))
-        direction = spec.get("direction")
-        if direction is None:
-            direction = [0.0] * op.dim
-            direction[0] = 1.0
-        return make_almost_orbit(op, _cfg_point(cfg), c, direction)
-    except ValueError as exc:
+        return make_almost_orbit(op, x, c, np.eye(op.dim)[0] if direction is None else direction)
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError("almost_orbit", str(exc)) from exc
 
 
 def _cfg_omega(cfg: ExperimentConfig):
-    spec = cfg.omega or {"kind": "identity"}
-    kind = spec.get("kind")
-    if kind == "identity":
-        return projection_modulus_identity()
-    if kind == "from-convexity":
-        return projection_modulus_from_convexity()
-    raise ConfigurationError("omega.kind", f"unknown projection modulus kind '{kind}'")
+    return _build(_OMEGAS, cfg.omega or {"kind": "identity"}, "omega")
 
 
 def _cfg_functional(cfg: ExperimentConfig):
     """Metastability functional from config; None means the orbit's own rate."""
-    spec = cfg.phi
-    if spec is None or spec.get("kind") == "orbit-rate":
-        return None
-    kind = spec.get("kind")
-    try:
-        if kind == "from-rate":
-            return FromRateFunctional(rate_from_spec(_require(spec, "rate", "phi.rate")))
-        if kind == "constant":
-            return ConstantFunctional(int(_require(spec, "value", "phi.value")))
-    except ValueError as exc:
-        raise ConfigurationError("phi", str(exc)) from exc
-    raise ConfigurationError("phi.kind", f"unknown functional kind '{kind}'")
+    return None if cfg.phi is None else _build(_FUNCTIONALS, cfg.phi, "phi")
 
 
-def _cfg_counterfunctions(cfg: ExperimentConfig):
-    specs = cfg.counterfunctions or ["id"]
-    try:
-        return [rate_from_spec(s) for s in specs]
-    except ValueError as exc:
-        raise ConfigurationError("counterfunctions", str(exc)) from exc
+def _audit(cfg: ExperimentConfig, subject):
+    """The operator, then ``subject(cfg, op)`` (its point or orbit), then the
+    weak modulus, built and audited in that order."""
+    op = build_operator(cfg.operator)
+    audited = subject(cfg, op)
+    return op, audited, weak_from_full(build_full_modulus(cfg.modulus))
 
 
-def _run_modulus_check(cfg: ExperimentConfig) -> Report:
-    start = time.perf_counter()
-    op = build_operator(cfg.operator if cfg.operator is not None else {})
-    full = build_full_modulus(cfg.modulus if cfg.modulus is not None else {})
-    if cfg.bound_K is None:
-        raise ConfigurationError("bound_K", "required for modulus-check")
-    K = int(cfg.bound_K)
+def _ks(cfg: ExperimentConfig) -> range:
     lo, hi = cfg.k_range
+    return range(lo, hi + 1)
+
+
+def _cauchy(cfg: ExperimentConfig, op: AccretiveOperator, x, threshold) -> Report:
+    return verify_cauchy_rate(op, x, threshold, _ks(cfg), grid_step=cfg.grid_step,
+                              horizon_pad=cfg.horizon_pad, tol=cfg.tolerance)
+
+
+def _nr(cfg: ExperimentConfig) -> Report:
+    op, x, weak = _audit(cfg, _cfg_point)
+    return _cauchy(cfg, op, x, orbit_cauchy_threshold(NRInputs.from_point(op, x, weak)))
+
+
+def _nr_closure(cfg: ExperimentConfig) -> Report:
+    op, x, weak = _audit(cfg, _cfg_point)
+    spec = cfg.closure or {}
+    f_spec = _require(spec, "f", "closure.f")
+    try:
+        f = rate_from_spec(f_spec)
+        p_norm = int(spec.get("p_norm", math.ceil(norm(op.zero_witness()))))
+        x_norm = int(spec.get("x_norm_bound", math.ceil(norm(x))))
+        x_dist = int(spec.get("x_dist_bound", math.ceil(norm(x - op.zero_projection(x)))))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError("closure", str(exc)) from exc
+    return _cauchy(cfg, op, x, closure_cauchy_threshold(weak, f, p_norm, x_norm, x_dist))
+
+
+def _xu_meta(cfg: ExperimentConfig) -> Report:
+    _, orbit, weak = _audit(cfg, _cfg_orbit)
+    inputs = XuInputs.from_orbit(orbit, weak, omega=_cfg_omega(cfg),
+                                 functional=_cfg_functional(cfg))
+    try:
+        counterfunctions = [rate_from_spec(s) for s in cfg.counterfunctions or ["id"]]
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError("counterfunctions", str(exc)) from exc
+    report = verify_metastability(orbit, lambda k, f: orbit_metastability_bound(inputs, k, f),
+                                  _ks(cfg), counterfunctions, grid_step=cfg.grid_step,
+                                  tol=cfg.tolerance)
+    report.provenance.update(_plain(inputs.provenance))
+    return report
+
+
+def _xu_roc(cfg: ExperimentConfig) -> Report:
+    _, orbit, weak = _audit(cfg, _cfg_orbit)
+    if _cfg_functional(cfg) is not None:
+        raise ConfigurationError("phi", "xu-roc uses the orbit's own defect rate")
+    inputs = XuInputs.from_orbit(orbit, weak, omega=_cfg_omega(cfg))
+    return verify_orbit_cauchy(orbit, lambda k: almost_orbit_cauchy_threshold(inputs, k),
+                               _ks(cfg), grid_step=cfg.grid_step, horizon_pad=cfg.horizon_pad,
+                               tol=cfg.tolerance, provenance=_plain(inputs.provenance))
+
+
+def _modulus_check(cfg: ExperimentConfig) -> Report:
+    op = build_operator(cfg.operator)
+    full = build_full_modulus(cfg.modulus)
+    K = _number(int, cfg.bound_K, "bound_K")
     samples = cfg.samples or {"kind": "seeded", "count": 1000}
     kind = samples.get("kind")
     if kind == "seeded":
-        inner = check_full_modulus(
-            op, full, K, hi, cfg.tolerance,
-            n_samples=int(samples.get("count", 1000)), seed=int(cfg.seed or 0),
-        )
+        sampling = {"n_samples": _number(int, samples.get("count", 1000), "samples.count"),
+                    "seed": int(cfg.seed or 0)}
     elif kind == "grid":
         try:
-            pts = np.arange(float(samples["lo"]), float(samples["hi"]) + float(samples["step"]) / 2,
-                            float(samples["step"]))
-        except KeyError as exc:
+            lo, hi, step = (float(samples[key]) for key in ("lo", "hi", "step"))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError("samples", f"grid sampling needs lo/hi/step ({exc})") from exc
-        inner = check_full_modulus(op, full, K, hi, cfg.tolerance, points=pts)
+        sampling = {"points": np.arange(lo, hi + step / 2, step)}
     else:
         raise ConfigurationError("samples.kind", f"unknown sampling kind '{kind}'")
+    inner = check_full_modulus(op, full, K, cfg.k_range[1], cfg.tolerance, **sampling)
 
     report = Report(
-        scenario="modulus-check", seed=cfg.seed, config=cfg.to_dict(),
+        scenario="modulus-check",
+        violations=_plain(inner.violations),
         provenance={"operator": op.name, "modulus": inner.modulus, "K": K,
                     "n_pairs": inner.n_pairs},
         grid={"k_range": list(cfg.k_range), "sampling": _plain(samples)},
     )
     for entry in inner.per_k:
         k = entry["k"]
-        if k < lo:
-            continue
         target = 1.0 / (k + 1)
         status = FAIL if entry["n_violations"] else _status(
             entry["worst_gap_under_premise"], target, cfg.tolerance)
@@ -843,139 +874,55 @@ def _run_modulus_check(cfg: ExperimentConfig) -> Report:
             slack=cfg.tolerance, status=status,
             detail={"n_premise": entry["n_premise"], "n_violations": entry["n_violations"]},
         ))
-    report.violations = _plain(inner.violations)
-    report.runtime_seconds = time.perf_counter() - start
     return report
 
 
-def _run_liminf_check(cfg: ExperimentConfig) -> Report:
+def _liminf_check(cfg: ExperimentConfig) -> Report:
     spec = cfg.liminf or {}
     form = spec.get("form")
-    lo, hi = cfg.k_range
-    n_max = int(spec.get("n_max", 10))
+    hi = cfg.k_range[1]
+    n_max = _number(int, spec.get("n_max", 10), "liminf.n_max")
     if form == "integral":
         name = spec.get("integrand", "inv-square")
-        if name not in _INTEGRANDS:
+        if not isinstance(name, str) or name not in _INTEGRANDS:
             raise ConfigurationError("liminf.integrand", f"unknown integrand '{name}'")
-        if "bound_L" not in spec:
-            raise ConfigurationError("liminf.bound_L", "required for the integral form")
-        report = verify_integrable_dip(
-            _INTEGRANDS[name], float(spec["bound_L"]), hi, n_max,
+        return verify_integrable_dip(
+            _INTEGRANDS[name], _number(float, spec.get("bound_L"), "liminf.bound_L"), hi, n_max,
             grid_step=cfg.grid_step, tol=cfg.tolerance,
         )
-    elif form == "flow-pairing":
-        op = build_operator(cfg.operator if cfg.operator is not None else {})
-        x = _cfg_point(cfg)
-        b = int(spec.get("b", math.ceil(norm(x - op.zero_projection(x)))))
-        report = verify_flow_pairing_dip(
+    if form == "flow-pairing":
+        op = build_operator(cfg.operator)
+        x = _cfg_point(cfg, op)
+        b = _number(int, spec.get("b", math.ceil(norm(x - op.zero_projection(x)))), "liminf.b")
+        return verify_flow_pairing_dip(
             op, x, b, hi, n_max, grid_step=cfg.grid_step, tol=cfg.tolerance,
         )
-    else:
-        raise ConfigurationError("liminf.form", "must be 'integral' or 'flow-pairing'")
-    report.rows = [r for r in report.rows if r.k >= lo]
-    report.seed = cfg.seed
-    report.config = cfg.to_dict()
-    return report
+    raise ConfigurationError("liminf.form", "must be 'integral' or 'flow-pairing'")
 
 
-def _run_nr(cfg: ExperimentConfig) -> Report:
-    op = build_operator(cfg.operator if cfg.operator is not None else {})
-    x = _cfg_point(cfg)
-    weak = _cfg_weak_modulus(cfg)
-    inputs = NRInputs.from_point(op, x, weak)
-    threshold = orbit_cauchy_threshold(inputs)
-    lo, hi = cfg.k_range
-    report = verify_cauchy_rate(
-        op, x, threshold, range(lo, hi + 1),
-        grid_step=cfg.grid_step, horizon_pad=cfg.horizon_pad, tol=cfg.tolerance,
-    )
-    report.scenario = "nr"
-    report.seed = cfg.seed
-    report.config = cfg.to_dict()
-    return report
-
-
-def _run_nr_closure(cfg: ExperimentConfig) -> Report:
-    op = build_operator(cfg.operator if cfg.operator is not None else {})
-    x = _cfg_point(cfg)
-    weak = _cfg_weak_modulus(cfg)
-    spec = cfg.closure
-    if spec is None:
-        raise ConfigurationError("closure", "required for nr-closure")
-    try:
-        f = rate_from_spec(_require(spec, "f", "closure.f"))
-        p_norm = int(spec.get("p_norm", math.ceil(norm(op.zero_witness()))))
-        x_norm = int(spec.get("x_norm_bound", math.ceil(norm(x))))
-        x_dist = int(spec.get("x_dist_bound", math.ceil(norm(x - op.zero_projection(x)))))
-    except ValueError as exc:
-        raise ConfigurationError("closure", str(exc)) from exc
-    threshold = closure_cauchy_threshold(weak, f, p_norm, x_norm, x_dist)
-    lo, hi = cfg.k_range
-    report = verify_cauchy_rate(
-        op, x, threshold, range(lo, hi + 1),
-        grid_step=cfg.grid_step, horizon_pad=cfg.horizon_pad, tol=cfg.tolerance,
-    )
-    report.scenario = "nr-closure"
-    report.seed = cfg.seed
-    report.config = cfg.to_dict()
-    return report
-
-
-def _run_xu_meta(cfg: ExperimentConfig) -> Report:
-    op = build_operator(cfg.operator if cfg.operator is not None else {})
-    orbit = _cfg_orbit(cfg, op)
-    weak = _cfg_weak_modulus(cfg)
-    inputs = XuInputs.from_orbit(
-        orbit, weak, omega=_cfg_omega(cfg), functional=_cfg_functional(cfg)
-    )
-    lo, hi = cfg.k_range
-    report = verify_metastability(
-        orbit,
-        lambda k, f: orbit_metastability_bound(inputs, k, f),
-        range(lo, hi + 1),
-        _cfg_counterfunctions(cfg),
-        grid_step=cfg.grid_step,
-        tol=cfg.tolerance,
-    )
-    report.scenario = "xu-meta"
-    report.provenance.update(_plain(inputs.provenance))
-    report.seed = cfg.seed
-    report.config = cfg.to_dict()
-    return report
-
-
-def _run_xu_roc(cfg: ExperimentConfig) -> Report:
-    op = build_operator(cfg.operator if cfg.operator is not None else {})
-    orbit = _cfg_orbit(cfg, op)
-    weak = _cfg_weak_modulus(cfg)
-    if cfg.phi is not None and (cfg.phi or {}).get("kind") not in (None, "orbit-rate"):
-        raise ConfigurationError("phi", "xu-roc uses the orbit's own defect rate")
-    inputs = XuInputs.from_orbit(orbit, weak, omega=_cfg_omega(cfg))
-    lo, hi = cfg.k_range
-    report = verify_orbit_cauchy(
-        orbit,
-        lambda k: almost_orbit_cauchy_threshold(inputs, k),
-        range(lo, hi + 1),
-        grid_step=cfg.grid_step,
-        horizon_pad=cfg.horizon_pad,
-        tol=cfg.tolerance,
-        provenance=_plain(inputs.provenance),
-    )
-    report.scenario = "xu-roc"
-    report.seed = cfg.seed
-    report.config = cfg.to_dict()
-    return report
+#: scenario -> (step returning the verifier's report, whether the report is
+#: renamed after the scenario; liminf-check keeps the dip verifier's name)
+_SCENARIOS = {
+    "nr": (_nr, True),
+    "nr-closure": (_nr_closure, True),
+    "xu-meta": (_xu_meta, True),
+    "xu-roc": (_xu_roc, True),
+    "modulus-check": (_modulus_check, True),
+    "liminf-check": (_liminf_check, False),
+}
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    """Dispatch a configured scenario: build operator -> moduli -> rates ->
-    verify, returning the scenario Report."""
-    runner = {
-        "modulus-check": _run_modulus_check,
-        "liminf-check": _run_liminf_check,
-        "nr": _run_nr,
-        "nr-closure": _run_nr_closure,
-        "xu-meta": _run_xu_meta,
-        "xu-roc": _run_xu_roc,
-    }[cfg.scenario]
-    return runner(cfg)
+    """Run a configured scenario (build the operator, audit the inputs,
+    build the threshold, verify) and return its Report, keeping the rows
+    with k >= k_range[0]."""
+    start = time.perf_counter()
+    step, renamed = _SCENARIOS[cfg.scenario]
+    report = step(cfg)
+    if renamed:
+        report.scenario = cfg.scenario
+    report.rows = [r for r in report.rows if r.k >= cfg.k_range[0]]
+    report.seed = cfg.seed
+    report.config = cfg.to_dict()
+    report.runtime_seconds = time.perf_counter() - start
+    return report

@@ -10,7 +10,8 @@ zeros of ``A``.  Each instance exposes:
 * ``zero_projection(x)``        -- nearest point of the zero set,
 * ``value(x)``                  -- ``Ax`` where ``A`` is single-valued,
 * ``zero_witness()``            -- some ``p`` with ``0 in Ap``,
-* ``exact_flow(x, t)``          -- closed-form flow, where one exists,
+* ``exact_flow_many(x, ts)``    -- closed-form flow at many times, where one
+  exists (``exact_flow(x, t)`` is its one-time case),
 * ``sample_graph(seed, bound)`` -- a random graph pair within a norm bound.
 
 The closed-form flows double as independent oracles for the verification
@@ -53,7 +54,10 @@ class GraphPair:
 
 
 class AccretiveOperator:
-    """Base interface; instances are immutable and all methods are pure."""
+    """Base interface; instances are immutable and all methods are pure.
+
+    Subclasses also supply the row-batched ``value_many`` and
+    ``zero_projection_many``."""
 
     name: str = "abstract"
     dim: int = 0
@@ -72,23 +76,18 @@ class AccretiveOperator:
         raise NotImplementedError
 
     def exact_flow(self, x, t: float) -> np.ndarray:
-        """Closed-form flow value; optional capability."""
-        raise NotImplementedError(f"{self.name} has no closed-form flow")
+        """Closed-form flow value at one time."""
+        return self.exact_flow_many(x, [t])[0]
 
     def exact_flow_many(self, x, ts: np.ndarray) -> np.ndarray:
-        """Closed-form flow at many times; rows follow ``ts``."""
-        return np.stack([self.exact_flow(x, float(t)) for t in np.asarray(ts)])
+        """Closed-form flow at many times; rows follow ``ts``.  Optional
+        capability."""
+        raise NotImplementedError(f"{self.name} has no closed-form flow")
 
     def graph_norm_bound(self, radius: float) -> int:
         """Integer G with max(||x||, ||value(x)||) <= G whenever
         ||x - zero_witness()|| <= radius."""
         raise NotImplementedError
-
-    def zero_projection_many(self, X: np.ndarray) -> np.ndarray:
-        return np.stack([self.zero_projection(row) for row in X])
-
-    def value_many(self, X: np.ndarray) -> np.ndarray:
-        return np.stack([self.value(row) for row in X])
 
     def sample_graph(self, seed: int, bound: float) -> GraphPair:
         return sample_graph_pairs(self, seed, bound, 1)[0]
@@ -137,9 +136,6 @@ class ScaledIdentity(AccretiveOperator):
 
     def zero_witness(self):
         return np.zeros(self.dim)
-
-    def exact_flow(self, x, t):
-        return math.exp(-self.alpha * t) * self._check_dim(x)
 
     def exact_flow_many(self, x, ts):
         x = self._check_dim(x)
@@ -202,11 +198,6 @@ class SPDLinear(AccretiveOperator):
 
     def zero_witness(self):
         return np.zeros(self.dim)
-
-    def exact_flow(self, x, t):
-        x = self._check_dim(x)
-        V = self.eigenvectors
-        return V @ (np.exp(-t * self.eigenvalues) * (V.T @ x))
 
     def exact_flow_many(self, x, ts):
         x = self._check_dim(x)
@@ -273,14 +264,12 @@ class QuarticWell(AccretiveOperator):
     def zero_witness(self):
         return np.zeros(1)
 
-    def exact_flow(self, x, t):
-        x = self._check_dim(x)
-        return np.array([_quartic_flow_scalar(float(x[0]), float(t))])
-
     def exact_flow_many(self, x, ts):
         x = self._check_dim(x)
         ts = np.asarray(ts, dtype=float)
         x0 = float(x[0])
+        # separable ODE u' = -4(u -/+ 1)^3 away from the flat zone; points
+        # inside [-1, 1] are stationary
         if -1.0 <= x0 <= 1.0:
             return np.full((ts.shape[0], 1), x0)
         if x0 > 1.0:
@@ -292,16 +281,6 @@ class QuarticWell(AccretiveOperator):
     def graph_norm_bound(self, radius):
         slope = 4.0 * max(0.0, radius - 1.0) ** 3
         return int(math.ceil(max(radius, slope)))
-
-
-def _quartic_flow_scalar(x0: float, t: float) -> float:
-    # separable ODE u' = -4(u -/+ 1)^3 away from the flat zone; points inside
-    # [-1, 1] are stationary
-    if -1.0 <= x0 <= 1.0:
-        return x0
-    if x0 > 1.0:
-        return 1.0 + ((x0 - 1.0) ** -2 + 8.0 * t) ** -0.5
-    return -1.0 - ((-x0 - 1.0) ** -2 + 8.0 * t) ** -0.5
 
 
 def _solve_quartic_resolvent(gamma: float, x: float) -> float:

@@ -9,12 +9,10 @@ product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-__all__ = ["Point", "SpaceModel", "as_point", "norm", "pairing", "eta_hilbert"]
+__all__ = ["Point", "as_point", "norm", "pairing", "eta_hilbert"]
 
 # State vectors are plain 1-d float arrays.
 Point = np.ndarray
@@ -59,19 +57,3 @@ def eta_hilbert(eps: float) -> float:
     if not 0.0 < eps <= 2.0:
         raise ValueError(f"eps must lie in (0, 2], got {eps}")
     return 1.0 - math.sqrt(1.0 - eps * eps / 4.0)
-
-
-@dataclass(frozen=True)
-class SpaceModel:
-    """Ambient space: a dimension plus a modulus of uniform convexity.
-
-    The modulus must be nondecreasing on (0, 2] with values in (0, 1];
-    the default is the exact Hilbert-space modulus.
-    """
-
-    dim: int
-    convexity_modulus: Callable[[float], float] = eta_hilbert
-
-    def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ValueError("space dimension must be >= 1")

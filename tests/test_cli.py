@@ -29,11 +29,29 @@ def _nr_config(**overrides):
     return cfg
 
 
+LISTING = """\
+operators:
+  scaled-identity      params: alpha (>0), dim (>=1)
+  spd                  params: matrix (symmetric positive definite)
+  spd-laplacian-1d     params: size (tridiagonal -1,2,-1)
+  quartic-well         params: none (scalar, zero set [-1,1])
+moduli:
+  strongly-accretive   params: a (integer >= ceil(1/alpha))
+  laplacian            params: Lambda (integer >= 1/lambda_min)
+  quartic-well         params: none
+  linear-k             params: none (deliberately weak; counterexamples)
+  dyadic-scaled-identity params: alpha, Z
+registered operator+modulus pairs:
+  scaled-identity+strongly-accretive  (scaled-identity(alpha=1, d=1) with strongly-accretive(a=1))
+  spd-laplacian-1d+laplacian  (spd-linear(d=4) with min-eigenvalue(Lambda=3))
+  quartic-well+quartic-well  (quartic-well with quartic-well)
+  scaled-identity+dyadic-chain  (scaled-identity(alpha=1, d=2) with from-dyadic(Z=0))
+"""
+
+
 def test_list_instances(capsys):
     assert parse_and_run(["list-instances"]) == 0
-    out = capsys.readouterr().out
-    assert "scaled-identity" in out
-    assert "quartic-well" in out
+    assert capsys.readouterr().out == LISTING
 
 
 def test_certify_nr_passes_and_writes_report(tmp_path):
@@ -92,6 +110,33 @@ def test_unknown_field_exits_two_and_names_it(tmp_path, capsys):
     cfg = _write(tmp_path, "extra.json", _nr_config(surprise=1))
     assert parse_and_run(["certify-nr", "--config", str(cfg)]) == 2
     assert "surprise" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, command, overrides, field", [
+    ("xu_meta_scaled_identity.json", "certify-xu-meta", {"omega": "identity"}, "omega"),
+    ("xu_meta_scaled_identity.json", "certify-xu-meta", {"phi": "orbit-rate"}, "phi"),
+    ("xu_roc_scaled_identity.json", "certify-xu-roc", {"almost_orbit": 1.0}, "almost_orbit"),
+    ("liminf_integral.json", "liminf-check", {"liminf": ["integral"]}, "liminf"),
+    ("modulus_scaled_identity.json", "verify-modulus", {"samples": "seeded"}, "samples"),
+    ("nr_closure_scaled_identity.json", "certify-nr-closure", {"closure": "id"}, "closure"),
+    ("nr_scaled_identity.json", "certify-nr", {"seed": "zero"}, "seed"),
+    ("nr_scaled_identity.json", "certify-nr", {"grid_step": "fine"}, "grid_step"),
+    ("nr_scaled_identity.json", "certify-nr", {"horizon_pad": "long"}, "horizon_pad"),
+    ("nr_scaled_identity.json", "certify-nr", {"tolerance": "tiny"}, "tolerance"),
+    ("modulus_scaled_identity.json", "verify-modulus", {"bound_K": "ten"}, "bound_K"),
+    ("modulus_scaled_identity.json", "verify-modulus",
+     {"samples": {"kind": "seeded", "count": "many"}}, "samples.count"),
+    ("liminf_integral.json", "liminf-check",
+     {"liminf": {"form": "integral", "bound_L": 1.0, "n_max": "ten"}}, "liminf.n_max"),
+    ("nr_scaled_identity.json", "certify-nr", {"initial_point": [2.0, 1.0]}, "initial_point"),
+])
+def test_malformed_config_exits_two_and_names_the_field(
+    name, command, overrides, field, tmp_path, capsys
+):
+    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    cfg = _write(tmp_path, "bad.json", {**raw, **overrides})
+    assert parse_and_run([command, "--config", str(cfg)]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
 
 
 def test_resource_limit_exits_three(tmp_path, capsys):

@@ -327,6 +327,8 @@ def test_run_experiment_liminf_integral():
     (lambda d: d.update(unknown_field=1), "unknown_field"),
     (lambda d: d.update(operator={"kind": "warp-drive"}), "operator.kind"),
     (lambda d: d.update(modulus={"kind": "strongly-accretive"}), "modulus.a"),
+    (lambda d: d.update(operator={"kind": "spd-laplacian-1d"}), "operator.size"),
+    (lambda d: d.update(operator={"kind": "spd"}), "operator.matrix"),
 ])
 def test_config_errors_name_the_field(mutate, field):
     raw = _nr_config()

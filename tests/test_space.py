@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accretive_flows import SpaceModel, as_point, eta_hilbert, norm, pairing
+from accretive_flows import as_point, eta_hilbert, norm, pairing
 
 # independently computed: 1 - sqrt(1 - 0.1^2/4) at 25 digits
 ETA_AT_0_1 = 0.001250782228091054210980884
@@ -56,12 +56,6 @@ def test_eta_hilbert_monotone_on_grid():
     vals = [eta_hilbert(float(e)) for e in grid]
     assert all(0.0 < v <= 1.0 for v in vals)
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_space_model_validation():
-    SpaceModel(dim=3)
-    with pytest.raises(ValueError):
-        SpaceModel(dim=0)
 
 
 @st.composite
