@@ -12,13 +12,11 @@ from .space import Point, as_point, eta_hilbert, norm, pairing
 from .operators import (
     AccretiveOperator,
     AccretivityReport,
-    GraphPair,
     QuarticWell,
     SPDLinear,
     ScaledIdentity,
     check_accretive,
     dirichlet_laplacian_1d,
-    graph_residual,
     make_quartic_well,
     make_scaled_identity,
     make_spd_linear,

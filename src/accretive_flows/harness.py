@@ -40,7 +40,6 @@ from .moduli import (
 )
 from .operators import (
     AccretiveOperator,
-    GraphPair,
     dirichlet_laplacian_1d,
     make_quartic_well,
     make_scaled_identity,
@@ -349,11 +348,13 @@ def _verify_pairwise(
     thresholds = {k: int(threshold(k)) for k in ks}
     t_lo = min(thresholds.values())
     horizon = max(thresholds.values()) + horizon_pad
-    grid = np.arange(t_lo, horizon + grid_step / 2, grid_step)
-    if grid.size > MAX_GRID_POINTS:
+    # np.arange's own length formula, so the cap is checked before allocating
+    n_points = math.ceil((horizon + grid_step / 2 - t_lo) / grid_step)
+    if n_points > MAX_GRID_POINTS:
         raise ResourceLimitError(
-            f"horizon {horizon} at step {grid_step} needs {grid.size} grid points"
+            f"horizon {horizon} at step {grid_step} needs {n_points} grid points"
         )
+    grid = np.arange(t_lo, horizon + grid_step / 2, grid_step)
     points = curve_many(grid)
     slack = tol + 2.0 * err_bound
     report = Report(
@@ -514,9 +515,11 @@ def verify_almost_orbit_rate(
 
 @dataclass(frozen=True)
 class CertifiedSequence:
-    """A graph-pair sequence with an empirically certified pairing rate."""
+    """A graph sequence, rows of (X, Y), with an empirically certified
+    pairing rate."""
 
-    pairs: tuple[GraphPair, ...]
+    X: np.ndarray
+    Y: np.ndarray
     phi: RateFn
     K: int
 
@@ -556,9 +559,7 @@ def certified_graph_sequence(
         float(np.linalg.norm(X, axis=1).max()),
         float(np.linalg.norm(Y, axis=1).max()),
     )))
-    phi = empirical_rate_of_convergence(pairings)
-    pairs = tuple(GraphPair(x, y) for x, y in zip(X, Y))
-    return CertifiedSequence(pairs=pairs, phi=phi, K=max(K, 1))
+    return CertifiedSequence(X=X, Y=Y, phi=empirical_rate_of_convergence(pairings), K=max(K, 1))
 
 
 # ---------------------------------------------------------------- registry
@@ -666,9 +667,12 @@ _INTEGRANDS = {
 
 def _number(convert, value, field_name: str):
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(field_name, f"must be a number, got {value!r}") from exc
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ConfigurationError(field_name, f"must be finite, got {value!r}")
+    return number
 
 
 @dataclass
@@ -715,7 +719,7 @@ class ExperimentConfig:
             setattr(cfg, f.name, value)
         try:
             lo, hi = (int(v) for v in cfg.k_range)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError("k_range", "must be a [lo, hi] integer pair") from exc
         if lo < 0 or hi < lo:
             raise ConfigurationError("k_range", f"invalid range [{lo}, {hi}]")
@@ -844,17 +848,23 @@ def _modulus_check(cfg: ExperimentConfig) -> Report:
     samples = cfg.samples or {"kind": "seeded", "count": 1000}
     kind = samples.get("kind")
     if kind == "seeded":
-        sampling = {"n_samples": _number(int, samples.get("count", 1000), "samples.count"),
-                    "seed": int(cfg.seed or 0)}
+        count = _number(int, samples.get("count", 1000), "samples.count")
+        if count < 1:
+            raise ConfigurationError("samples.count", f"must be positive, got {count}")
+        sampling = {"n_samples": count, "seed": int(cfg.seed or 0)}
     elif kind == "grid":
-        try:
-            lo, hi, step = (float(samples[key]) for key in ("lo", "hi", "step"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError("samples", f"grid sampling needs lo/hi/step ({exc})") from exc
+        lo, hi, step = (_number(float, samples.get(key), f"samples.{key}")
+                        for key in ("lo", "hi", "step"))
+        if step <= 0:
+            raise ConfigurationError("samples.step", f"must be positive, got {step}")
+        if hi < lo:
+            raise ConfigurationError("samples.hi", f"must be >= samples.lo = {lo}, got {hi}")
         sampling = {"points": np.arange(lo, hi + step / 2, step)}
     else:
         raise ConfigurationError("samples.kind", f"unknown sampling kind '{kind}'")
     inner = check_full_modulus(op, full, K, cfg.k_range[1], cfg.tolerance, **sampling)
+    if not inner.n_pairs:
+        raise ConfigurationError("samples", f"no graph pair within bound_K = {K}")
 
     report = Report(
         scenario="modulus-check",

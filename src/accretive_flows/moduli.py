@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
-from .operators import AccretiveOperator, GraphPair, sample_graph_pairs
+from .operators import AccretiveOperator, sample_graph_pairs
 
 __all__ = [
     "RateFn",
@@ -258,13 +258,13 @@ class FullModulusReport:
         return not self.violations
 
 
-def _pairs_from_points(op: AccretiveOperator, points, K: float) -> list[GraphPair]:
-    X = np.asarray(list(points), dtype=float)
+def _pairs_from_points(op: AccretiveOperator, points, K: float):
+    X = np.asarray(points, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     Y = op.value_many(X)
     keep = (np.linalg.norm(X, axis=1) <= K) & (np.linalg.norm(Y, axis=1) <= K)
-    return [GraphPair(x, y) for x, y in zip(X[keep], Y[keep])]
+    return X[keep], Y[keep]
 
 
 def check_full_modulus(
@@ -286,22 +286,18 @@ def check_full_modulus(
     if (n_samples is None) == (points is None):
         raise ValueError("provide exactly one of n_samples or points")
     if points is not None:
-        pairs = _pairs_from_points(op, points, K)
+        X, Y = _pairs_from_points(op, points, K)
     else:
-        pairs = sample_graph_pairs(op, seed, K, n_samples)
+        X, Y = sample_graph_pairs(op, seed, K, n_samples)
 
     report = FullModulusReport(
         operator=op.name, modulus=rate_label(full), K=int(K), k_max=int(k_max),
-        n_pairs=len(pairs), tol=tol,
+        n_pairs=len(X), tol=tol,
     )
-    if not pairs:
+    if not len(X):
         return report
 
-    X = np.stack([p.x for p in pairs])
-    Y = np.stack([p.y for p in pairs])
-    PX = op.zero_projection_many(X)
-    pairings = np.abs(np.einsum("ij,ij->i", Y, X - PX))
-    gaps = np.linalg.norm(X - PX, axis=1)
+    pairings, gaps = _pairings_and_gaps(op, X, Y)
 
     for k in range(k_max + 1):
         premise_thr = 1.0 / (int(full(K, k)) + 1)
@@ -342,13 +338,10 @@ class SequenceModulusReport:
         return self.premise_certified and not self.violations
 
 
-def _sequence_arrays(op: AccretiveOperator, sequence: Sequence[GraphPair]):
-    X = np.stack([p.x for p in sequence])
-    Y = np.stack([p.y for p in sequence])
+def _pairings_and_gaps(op: AccretiveOperator, X, Y):
+    """|<y, x - Px>| and ||x - Px|| for every row of the graph sample (X, Y)."""
     PX = op.zero_projection_many(X)
-    pairings = np.abs(np.einsum("ij,ij->i", Y, X - PX))
-    gaps = np.linalg.norm(X - PX, axis=1)
-    return X, Y, pairings, gaps
+    return np.abs(np.einsum("ij,ij->i", Y, X - PX)), np.linalg.norm(X - PX, axis=1)
 
 
 def _certify_premise(X, Y, pairings, phi: RateFn, K: int, tol: float,
@@ -374,35 +367,22 @@ def _certify_premise(X, Y, pairings, phi: RateFn, K: int, tol: float,
     return failures
 
 
-def check_simple_modulus(
-    op: AccretiveOperator,
-    simple: SimpleModulus,
-    sequence: Sequence[GraphPair],
-    phi: RateFn,
-    K: int,
-    k_max: int,
-    m_max: int,
-    tol: float,
-) -> SequenceModulusReport:
-    """Check that Omega(K, phi) is a liminf rate for the zero gaps of the
-    sequence: for k <= k_max and m <= m_max some n in [m, Omega(K,phi)(k,m)]
-    has ||x_n - Px_n|| <= 1/(k+1) + tol.
-
-    The premise (phi a rate of convergence for the pairings, norms <= K) is
-    re-verified on the data; failures mark the report premise-not-certified.
-    Raises ValueError when a window extends past the end of the sequence.
-    """
-    X, Y, pairings, gaps = _sequence_arrays(op, sequence)
+def _check_windows(op: AccretiveOperator, kind: str, X, Y, phi: RateFn, K: int,
+                   window_end: LiminfRateFn, k_max: int, m_max: int,
+                   tol: float) -> SequenceModulusReport:
+    """Re-verify the premise on (X, Y), then check that every window
+    [m, window_end(k, m)] with k <= k_max, m <= m_max holds a zero gap
+    <= 1/(k+1) + tol."""
+    pairings, gaps = _pairings_and_gaps(op, X, Y)
     failures = _certify_premise(X, Y, pairings, phi, K, tol)
     report = SequenceModulusReport(
-        operator=op.name, kind="simple", K=int(K), tol=tol,
+        operator=op.name, kind=kind, K=int(K), tol=tol,
         premise_certified=not failures, premise_failures=failures,
     )
-    liminf = simple(K, phi)
-    n = len(sequence)
+    n = len(X)
     for k in range(k_max + 1):
         for m in range(m_max + 1):
-            end = int(liminf(k, m))
+            end = int(window_end(k, m))
             if end >= n:
                 raise ValueError(
                     f"sequence too short: window [{m}, {end}] at k={k} "
@@ -416,36 +396,41 @@ def check_simple_modulus(
     return report
 
 
+def check_simple_modulus(
+    op: AccretiveOperator,
+    simple: SimpleModulus,
+    X,
+    Y,
+    phi: RateFn,
+    K: int,
+    k_max: int,
+    m_max: int,
+    tol: float,
+) -> SequenceModulusReport:
+    """Check that Omega(K, phi) is a liminf rate for the zero gaps of the
+    graph sequence (X, Y): for k <= k_max and m <= m_max some n in
+    [m, Omega(K,phi)(k,m)] has ||x_n - Px_n|| <= 1/(k+1) + tol.
+
+    The premise (phi a rate of convergence for the pairings, norms <= K) is
+    re-verified on the data; failures mark the report premise-not-certified.
+    Raises ValueError when a window extends past the end of the sequence.
+    """
+    return _check_windows(op, "simple", X, Y, phi, K, simple(K, phi), k_max, m_max, tol)
+
+
 def check_weak_modulus(
     op: AccretiveOperator,
     weak: WeakModulus,
-    sequence: Sequence[GraphPair],
+    X,
+    Y,
     phi: RateFn,
     K: int,
     k_max: int,
     tol: float,
 ) -> SequenceModulusReport:
     """Check that Omega_w(K, phi) is a rate of approximate zeros for the zero
-    gaps: for k <= k_max some n <= Omega_w(K,phi)(k) has
-    ||x_n - Px_n|| <= 1/(k+1) + tol."""
-    X, Y, pairings, gaps = _sequence_arrays(op, sequence)
-    failures = _certify_premise(X, Y, pairings, phi, K, tol)
-    report = SequenceModulusReport(
-        operator=op.name, kind="weak", K=int(K), tol=tol,
-        premise_certified=not failures, premise_failures=failures,
-    )
+    gaps of (X, Y): for k <= k_max some n <= Omega_w(K,phi)(k) has
+    ||x_n - Px_n|| <= 1/(k+1) + tol.  This is the m = 0 column of the
+    simple check."""
     rate = weak(K, phi)
-    n = len(sequence)
-    for k in range(k_max + 1):
-        end = int(rate(k))
-        if end >= n:
-            raise ValueError(
-                f"sequence too short: window [0, {end}] at k={k} "
-                f"needs {end + 1} terms, have {n}"
-            )
-        best = float(np.min(gaps[: end + 1]))
-        hit = best <= 1.0 / (k + 1) + tol
-        report.windows.append({"k": k, "m": 0, "end": end, "best_gap": best, "hit": hit})
-        if not hit:
-            report.violations.append({"k": k, "m": 0, "end": end, "best_gap": best})
-    return report
+    return _check_windows(op, "weak", X, Y, phi, K, lambda k, m: rate(k), k_max, 0, tol)

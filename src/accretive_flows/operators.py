@@ -4,15 +4,17 @@ An operator ``A`` here is accretive on R^d: ``<u - v, x - y> >= 0`` for all
 graph pairs ``(x, u), (y, v)``.  Its resolvent ``(Id + gamma A)^{-1}`` is one
 implicit-Euler step of the flow ``u' = -Au``; it is single-valued and
 nonexpansive precisely for accretive operators, and its fixed points are the
-zeros of ``A``.  Each instance exposes:
+zeros of ``A``.  Each instance implements, on ``(n, d)`` row batches:
 
-* ``resolvent(gamma, x)``       -- the implicit-Euler step,
-* ``zero_projection(x)``        -- nearest point of the zero set,
-* ``value(x)``                  -- ``Ax`` where ``A`` is single-valued,
-* ``zero_witness()``            -- some ``p`` with ``0 in Ap``,
+* ``zero_projection_many(X)``   -- nearest points of the zero set,
+* ``value_many(X)``             -- ``Ax`` where ``A`` is single-valued,
 * ``exact_flow_many(x, ts)``    -- closed-form flow at many times, where one
-  exists (``exact_flow(x, t)`` is its one-time case),
-* ``sample_graph(seed, bound)`` -- a random graph pair within a norm bound.
+  exists,
+
+plus ``resolvent(gamma, x)`` (one implicit-Euler step) and ``zero_witness()``
+(some ``p`` with ``0 in Ap``).  The base class supplies the one-point forms
+``zero_projection(x)``, ``value(x)`` and ``exact_flow(x, t)`` as row 0 of the
+batch.  ``sample_graph_pairs`` draws graph pairs as ``(X, Y)`` arrays.
 
 The closed-form flows double as independent oracles for the verification
 harness.
@@ -26,10 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError
-from .space import as_point, norm, pairing
+from .space import as_point
 
 __all__ = [
-    "GraphPair",
     "AccretiveOperator",
     "ScaledIdentity",
     "SPDLinear",
@@ -39,25 +40,16 @@ __all__ = [
     "make_quartic_well",
     "dirichlet_laplacian_1d",
     "sample_graph_pairs",
-    "graph_residual",
     "check_accretive",
     "AccretivityReport",
 ]
 
 
-@dataclass(frozen=True)
-class GraphPair:
-    """A pair (x, y) with y in Ax, up to the owning operator's residual tolerance."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-
 class AccretiveOperator:
     """Base interface; instances are immutable and all methods are pure.
 
-    Subclasses also supply the row-batched ``value_many`` and
-    ``zero_projection_many``."""
+    Subclasses implement the row-batched methods; the one-point forms here
+    are row 0 of a one-row batch."""
 
     name: str = "abstract"
     dim: int = 0
@@ -66,10 +58,16 @@ class AccretiveOperator:
         raise NotImplementedError
 
     def zero_projection(self, x) -> np.ndarray:
+        return self.zero_projection_many(self._check_dim(x)[None])[0]
+
+    def zero_projection_many(self, X) -> np.ndarray:
         raise NotImplementedError
 
     def value(self, x) -> np.ndarray:
-        """Ax where A is single-valued; optional capability."""
+        return self.value_many(self._check_dim(x)[None])[0]
+
+    def value_many(self, X) -> np.ndarray:
+        """Ax row by row where A is single-valued; optional capability."""
         raise NotImplementedError(f"{self.name} has no single-valued evaluation")
 
     def zero_witness(self) -> np.ndarray:
@@ -88,9 +86,6 @@ class AccretiveOperator:
         """Integer G with max(||x||, ||value(x)||) <= G whenever
         ||x - zero_witness()|| <= radius."""
         raise NotImplementedError
-
-    def sample_graph(self, seed: int, bound: float) -> GraphPair:
-        return sample_graph_pairs(self, seed, bound, 1)[0]
 
     def _check_dim(self, x) -> np.ndarray:
         x = as_point(x)
@@ -121,15 +116,8 @@ class ScaledIdentity(AccretiveOperator):
             raise ValueError("gamma must be positive")
         return x / (1.0 + gamma * self.alpha)
 
-    def zero_projection(self, x):
-        self._check_dim(x)
-        return np.zeros(self.dim)
-
     def zero_projection_many(self, X):
         return np.zeros_like(np.asarray(X, dtype=float))
-
-    def value(self, x):
-        return self.alpha * self._check_dim(x)
 
     def value_many(self, X):
         return self.alpha * np.asarray(X, dtype=float)
@@ -183,15 +171,8 @@ class SPDLinear(AccretiveOperator):
             raise ValueError("gamma must be positive")
         return np.linalg.solve(np.eye(self.dim) + gamma * self.M, x)
 
-    def zero_projection(self, x):
-        self._check_dim(x)
-        return np.zeros(self.dim)
-
     def zero_projection_many(self, X):
         return np.zeros_like(np.asarray(X, dtype=float))
-
-    def value(self, x):
-        return self.M @ self._check_dim(x)
 
     def value_many(self, X):
         return np.asarray(X, dtype=float) @ self.M.T
@@ -241,16 +222,8 @@ class QuarticWell(AccretiveOperator):
             raise ValueError("gamma must be positive")
         return np.array([_solve_quartic_resolvent(float(gamma), float(x[0]))])
 
-    def zero_projection(self, x):
-        x = self._check_dim(x)
-        return np.clip(x, -1.0, 1.0)
-
     def zero_projection_many(self, X):
         return np.clip(np.asarray(X, dtype=float), -1.0, 1.0)
-
-    def value(self, x):
-        x = self._check_dim(x)
-        return np.array([_quartic_slope(float(x[0]))])
 
     def value_many(self, X):
         X = np.asarray(X, dtype=float)
@@ -342,8 +315,10 @@ def dirichlet_laplacian_1d(n: int) -> np.ndarray:
     )
 
 
-def sample_graph_pairs(op: AccretiveOperator, seed: int, bound: float, count: int) -> list[GraphPair]:
-    """Draw ``count`` graph pairs with ||x||, ||y|| <= bound.
+def sample_graph_pairs(
+    op: AccretiveOperator, seed: int, bound: float, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` graph pairs with ||x||, ||y|| <= bound as rows of (X, Y).
 
     x is uniform in the ball of radius ``bound``; y = value(x); pairs with
     ||y|| > bound are rejected and redrawn.
@@ -351,30 +326,23 @@ def sample_graph_pairs(op: AccretiveOperator, seed: int, bound: float, count: in
     if bound <= 0:
         raise ValueError("bound must be positive")
     rng = np.random.default_rng(seed)
-    xs: list[np.ndarray] = []
+    X = np.empty((0, op.dim))
     rounds = 0
-    while len(xs) < count:
+    while len(X) < count:
         rounds += 1
         if rounds > 1000:
             raise ResourceLimitError(
                 f"graph sampling for {op.name} rejected too many draws at bound {bound}"
             )
-        m = max(count - len(xs), 16)
+        m = max(count - len(X), 16)
         direction = rng.normal(size=(m, op.dim))
         direction /= np.maximum(np.linalg.norm(direction, axis=1), 1e-300)[:, None]
         radii = bound * rng.random(m) ** (1.0 / op.dim)
-        X = direction * radii[:, None]
-        Y = op.value_many(X)
-        keep = np.linalg.norm(Y, axis=1) <= bound
-        xs.extend(X[keep])
-    X = np.stack(xs[:count])
-    Y = op.value_many(X)
-    return [GraphPair(x, y) for x, y in zip(X, Y)]
-
-
-def graph_residual(op: AccretiveOperator, pair: GraphPair) -> float:
-    """Residual of the membership relation y in Ax (0 for single-valued A)."""
-    return norm(pair.y - op.value(pair.x))
+        draws = direction * radii[:, None]
+        keep = np.linalg.norm(op.value_many(draws), axis=1) <= bound
+        X = np.concatenate([X, draws[keep]])
+    X = X[:count]
+    return X, op.value_many(X)
 
 
 @dataclass
@@ -401,9 +369,7 @@ def check_accretive(
     max_reported: int = 50,
 ) -> AccretivityReport:
     """Check <u - v, x - y> >= -tol over all pairs of sampled graph elements."""
-    pairs = sample_graph_pairs(op, seed, bound, n_samples)
-    X = np.stack([p.x for p in pairs])
-    Y = np.stack([p.y for p in pairs])
+    X, Y = sample_graph_pairs(op, seed, bound, n_samples)
     s = np.einsum("ij,ij->i", Y, X)
     C = Y @ X.T
     # P[i, j] = <y_i - y_j, x_i - x_j>

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ResourceLimitError
-from .moduli import RateFn, WeakModulus, identity_rate, rate_label
+from .moduli import RateFn, WeakModulus, identity_rate, rate_from_spec, rate_label
 from .operators import AccretiveOperator
 from .semigroup import AlmostOrbit
 from .space import as_point, eta_hilbert, norm
@@ -321,7 +321,7 @@ class XuInputs:
         B = int(u.bound_B)
         p_norm = int(math.ceil(norm(u.zero)))
         G = u.operator.graph_norm_bound(B + p_norm)
-        const_rate = _constant_rate(G)
+        const_rate = rate_from_spec({"const": G})
         phi = functional if functional is not None else FromRateFunctional(u.rate_phi)
         phi_rate = u.rate_phi if functional is None else None
         return cls(
@@ -341,14 +341,6 @@ class XuInputs:
                 "weak_modulus": rate_label(weak_modulus),
             },
         )
-
-
-def _constant_rate(c: int) -> RateFn:
-    def rate(n: int) -> int:
-        return int(c)
-
-    rate.label = f"const:{int(c)}"
-    return rate
 
 
 def zero_gap_threshold(inp: XuInputs, s: float, k: int) -> int:

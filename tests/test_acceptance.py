@@ -206,11 +206,11 @@ def test_criterion_09_conversion_chain():
             x0 = rng.uniform(-3.0, 3.0, size=op.dim)
             seq = certified_graph_sequence(op, x0, count=64)
             rep_s = check_simple_modulus(
-                op, simple, seq.pairs, seq.phi, seq.K, k_max=3, m_max=3, tol=1e-9,
+                op, simple, seq.X, seq.Y, seq.phi, seq.K, k_max=3, m_max=3, tol=1e-9,
             )
             assert rep_s.passed, (name, i, rep_s.violations[:2])
             rep_w = check_weak_modulus(
-                op, weak, seq.pairs, seq.phi, seq.K, k_max=3, tol=1e-9,
+                op, weak, seq.X, seq.Y, seq.phi, seq.K, k_max=3, tol=1e-9,
             )
             assert rep_w.passed, (name, i, rep_w.violations[:2])
     done("9 conversion chain on the registered zoo")

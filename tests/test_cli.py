@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from accretive_flows.cli import CSV_HEADER, parse_and_run, render_report
 from accretive_flows.harness import ExperimentConfig, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+NAN, INF = math.nan, math.inf
 
 
 def _write(tmp_path: Path, name: str, payload: dict) -> Path:
@@ -112,6 +114,10 @@ def test_unknown_field_exits_two_and_names_it(tmp_path, capsys):
     assert "surprise" in capsys.readouterr().err
 
 
+def _quartic_grid(**samples):
+    return {"samples": {"kind": "grid", "lo": -6.0, "hi": 6.0, "step": 0.001, **samples}}
+
+
 @pytest.mark.parametrize("name, command, overrides, field", [
     ("xu_meta_scaled_identity.json", "certify-xu-meta", {"omega": "identity"}, "omega"),
     ("xu_meta_scaled_identity.json", "certify-xu-meta", {"phi": "orbit-rate"}, "phi"),
@@ -129,6 +135,23 @@ def test_unknown_field_exits_two_and_names_it(tmp_path, capsys):
     ("liminf_integral.json", "liminf-check",
      {"liminf": {"form": "integral", "bound_L": 1.0, "n_max": "ten"}}, "liminf.n_max"),
     ("nr_scaled_identity.json", "certify-nr", {"initial_point": [2.0, 1.0]}, "initial_point"),
+    ("nr_scaled_identity.json", "certify-nr", {"grid_step": NAN}, "grid_step"),
+    ("nr_scaled_identity.json", "certify-nr", {"grid_step": INF}, "grid_step"),
+    ("nr_scaled_identity.json", "certify-nr", {"horizon_pad": NAN}, "horizon_pad"),
+    ("nr_scaled_identity.json", "certify-nr", {"horizon_pad": INF}, "horizon_pad"),
+    ("nr_scaled_identity.json", "certify-nr", {"tolerance": NAN}, "tolerance"),
+    ("nr_scaled_identity.json", "certify-nr", {"tolerance": INF}, "tolerance"),
+    ("nr_scaled_identity.json", "certify-nr", {"seed": INF}, "seed"),
+    ("nr_scaled_identity.json", "certify-nr", {"k_range": [0, INF]}, "k_range"),
+    ("modulus_scaled_identity.json", "verify-modulus", {"bound_K": INF}, "bound_K"),
+    ("modulus_quartic.json", "verify-modulus", _quartic_grid(step=-1), "samples.step"),
+    ("modulus_quartic.json", "verify-modulus", _quartic_grid(step=0), "samples.step"),
+    ("modulus_quartic.json", "verify-modulus", _quartic_grid(lo=6.0, hi=-6.0), "samples.hi"),
+    ("modulus_quartic.json", "verify-modulus", _quartic_grid(lo=600.0, hi=700.0), "samples"),
+    ("modulus_quartic.json", "verify-modulus",
+     {"samples": {"kind": "seeded", "count": 0}}, "samples.count"),
+    ("modulus_quartic.json", "verify-modulus",
+     {"samples": {"kind": "seeded", "count": -3}}, "samples.count"),
 ])
 def test_malformed_config_exits_two_and_names_the_field(
     name, command, overrides, field, tmp_path, capsys

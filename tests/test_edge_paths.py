@@ -1,22 +1,26 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from accretive_flows import (
     ExperimentConfig,
+    ResourceLimitError,
     check_accretive,
     check_full_modulus,
     evaluate_oracle,
     evaluate_semigroup,
     full_modulus_linear,
     make_quartic_well,
+    make_scaled_identity,
     make_spd_linear,
     norm,
     run_experiment,
     sample_graph_pairs,
     trajectory,
+    verify_cauchy_rate,
 )
 from accretive_flows.cli import parse_and_run, render_report
 from accretive_flows.harness import EXACT_DIAMETER_ROWS, _diameter, _suffix_diameters
@@ -115,18 +119,31 @@ def test_trajectory_quartic_matches_oracle_within_bounds():
         assert norm(sample.point - exact) <= sample.err_bound
 
 
+def test_grid_cap_refuses_before_allocating_the_grid():
+    # 450 / 1e-4 is 4.5 M points: about 36 MB as a float64 grid
+    op = make_scaled_identity(1.0, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="needs 4500001 grid points"):
+            verify_cauchy_rate(op, [1.0], lambda k: 0, [0], grid_step=1e-4, horizon_pad=450.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # ------------------------------------------------------------- sampling edge
 
 def test_sampling_survives_heavy_rejection():
     # at bound 40 the slope cap confines x to |x| <= 1 + 10^(1/3): most draws
     # are rejected, the sampler keeps drawing
     op = make_quartic_well()
-    pairs = sample_graph_pairs(op, seed=5, bound=40.0, count=100)
-    assert len(pairs) == 100
+    X, Y = sample_graph_pairs(op, seed=5, bound=40.0, count=100)
+    assert len(X) == len(Y) == 100
     cap = 1.0 + (40.0 / 4.0) ** (1.0 / 3.0)
-    for pair in pairs:
-        assert abs(pair.x[0]) <= cap + 1e-9
-        assert abs(pair.y[0]) <= 40.0 + 1e-12
+    for x, y in zip(X, Y):
+        assert abs(x[0]) <= cap + 1e-9
+        assert abs(y[0]) <= 40.0 + 1e-12
 
 
 def test_accretivity_report_truncates():

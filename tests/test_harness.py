@@ -220,11 +220,11 @@ def test_conversion_chain_on_registered_zoo(rng):
             x0 = rng.uniform(-3, 3, size=op.dim)
             seq = certified_graph_sequence(op, x0, count=64)
             rep_s = check_simple_modulus(
-                op, simple, seq.pairs, seq.phi, seq.K, k_max=3, m_max=3, tol=1e-9,
+                op, simple, seq.X, seq.Y, seq.phi, seq.K, k_max=3, m_max=3, tol=1e-9,
             )
             assert rep_s.passed, f"{name} sequence {i} (simple)"
             rep_w = check_weak_modulus(
-                op, weak, seq.pairs, seq.phi, seq.K, k_max=3, tol=1e-9,
+                op, weak, seq.X, seq.Y, seq.phi, seq.K, k_max=3, tol=1e-9,
             )
             assert rep_w.passed, f"{name} sequence {i} (weak)"
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accretive_flows import (
-    GraphPair,
     ResourceLimitError,
     check_full_modulus,
     check_simple_modulus,
@@ -182,20 +181,20 @@ def test_full_modulus_scan_needs_exactly_one_source(quartic):
 # -------------------------------------------------- sequence window checking
 
 def _constant_zero_sequence(op, length=20):
-    p = op.zero_witness()
-    return [GraphPair(p.copy(), np.zeros_like(p)) for _ in range(length)]
+    X = np.tile(op.zero_witness(), (length, 1))
+    return X, np.zeros_like(X)
 
 
 def test_sequence_at_zero_passes_trivially(scaled_identity):
-    seq = _constant_zero_sequence(scaled_identity)
+    X, Y = _constant_zero_sequence(scaled_identity)
     simple = simple_from_full(full_modulus_strongly_accretive(1))
     report = check_simple_modulus(
-        scaled_identity, simple, seq, identity_rate, K=1, k_max=3, m_max=3, tol=1e-9,
+        scaled_identity, simple, X, Y, identity_rate, K=1, k_max=3, m_max=3, tol=1e-9,
     )
     assert report.passed
     weak = weak_from_full(full_modulus_strongly_accretive(1))
     report_w = check_weak_modulus(
-        scaled_identity, weak, seq, identity_rate, K=1, k_max=3, tol=1e-9,
+        scaled_identity, weak, X, Y, identity_rate, K=1, k_max=3, tol=1e-9,
     )
     assert report_w.passed
 
@@ -205,21 +204,19 @@ def test_flow_samples_with_identity_rate(scaled_identity):
     # genuine rate of convergence
     ts = np.arange(40.0)
     X = np.exp(-ts)[:, None]
-    seq = [GraphPair(x, x.copy()) for x in X]
     simple = simple_from_full(full_modulus_strongly_accretive(1))
     report = check_simple_modulus(
-        scaled_identity, simple, seq, identity_rate, K=1, k_max=3, m_max=3, tol=1e-9,
+        scaled_identity, simple, X, X.copy(), identity_rate, K=1, k_max=3, m_max=3, tol=1e-9,
     )
     assert report.premise_certified
     assert report.passed
 
 
 def test_stalled_sequence_marks_premise(scaled_identity):
-    x = np.array([2.0])
-    seq = [GraphPair(x.copy(), x.copy()) for _ in range(30)]
+    X = np.full((30, 1), 2.0)
     simple = simple_from_full(full_modulus_strongly_accretive(1))
     report = check_simple_modulus(
-        scaled_identity, simple, seq, identity_rate, K=2, k_max=1, m_max=1, tol=1e-9,
+        scaled_identity, simple, X, X.copy(), identity_rate, K=2, k_max=1, m_max=1, tol=1e-9,
     )
     assert not report.premise_certified
     assert any(f["reason"] == "rate-violated" for f in report.premise_failures)
@@ -227,9 +224,9 @@ def test_stalled_sequence_marks_premise(scaled_identity):
 
 
 def test_sequence_too_short_raises(scaled_identity):
-    seq = _constant_zero_sequence(scaled_identity, length=3)
+    X, Y = _constant_zero_sequence(scaled_identity, length=3)
     simple = simple_from_full(full_modulus_quartic_well())
     with pytest.raises(ValueError, match="too short"):
         check_simple_modulus(
-            scaled_identity, simple, seq, identity_rate, K=1, k_max=3, m_max=3, tol=1e-9,
+            scaled_identity, simple, X, Y, identity_rate, K=1, k_max=3, m_max=3, tol=1e-9,
         )

@@ -9,7 +9,6 @@ from accretive_flows import (
     AccretiveOperator,
     check_accretive,
     dirichlet_laplacian_1d,
-    graph_residual,
     make_quartic_well,
     make_scaled_identity,
     make_spd_linear,
@@ -185,22 +184,30 @@ def test_zero_projection_is_nearest_among_witnesses(op):
 
 @pytest.mark.parametrize("op", all_ops(), ids=lambda o: o.name)
 def test_sample_graph_respects_bound(op):
-    pairs = sample_graph_pairs(op, seed=7, bound=3.0, count=200)
-    assert len(pairs) == 200
-    for pair in pairs[:20]:
-        assert norm(pair.x) <= 3.0 + 1e-12
-        assert norm(pair.y) <= 3.0 + 1e-12
-        assert graph_residual(op, pair) <= 1e-9
+    X, Y = sample_graph_pairs(op, seed=7, bound=3.0, count=200)
+    assert len(X) == len(Y) == 200
+    for x, y in zip(X[:20], Y[:20]):
+        assert norm(x) <= 3.0 + 1e-12
+        assert norm(y) <= 3.0 + 1e-12
+        assert norm(y - op.value(x)) <= 1e-9
 
 
 def test_sample_graph_deterministic(quartic):
-    a = sample_graph_pairs(quartic, seed=3, bound=5.0, count=50)
-    b = sample_graph_pairs(quartic, seed=3, bound=5.0, count=50)
-    assert all(np.array_equal(p.x, q.x) for p, q in zip(a, b))
-    assert np.array_equal(
-        quartic.sample_graph(seed=3, bound=5.0).x,
-        quartic.sample_graph(seed=3, bound=5.0).x,
-    )
+    Xa, _ = sample_graph_pairs(quartic, seed=3, bound=5.0, count=50)
+    Xb, _ = sample_graph_pairs(quartic, seed=3, bound=5.0, count=50)
+    assert np.array_equal(Xa, Xb)
+
+
+@pytest.mark.parametrize("op", all_ops(), ids=lambda o: o.name)
+def test_one_point_forms_are_row_zero_of_the_batch(op, rng):
+    X = rng.uniform(-6.0, 6.0, size=(50, op.dim))
+    for i in range(len(X)):
+        assert np.array_equal(op.value(X[i]), op.value_many(X[i:i + 1])[0])
+        assert np.array_equal(op.zero_projection(X[i]), op.zero_projection_many(X[i:i + 1])[0])
+    with pytest.raises(ValueError):
+        op.value(np.zeros(op.dim + 1))
+    with pytest.raises(ValueError):
+        op.zero_projection(np.zeros(op.dim + 1))
 
 
 # ----------------------------------------------------------- accretivity scan
