@@ -60,6 +60,7 @@ from .moduli import (
 from .rates import (
     CertifiedThreshold,
     ConstantFunctional,
+    ConstantGraphBound,
     FromRateFunctional,
     NRInputs,
     XuInputs,

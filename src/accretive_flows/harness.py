@@ -89,7 +89,7 @@ PASS = "PASS"
 PASS_WITH_SLACK = "PASS-WITH-SLACK"
 FAIL = "FAIL"
 
-#: verify_cauchy_rate refuses grids beyond this
+#: pairwise verifiers and modulus-check sampling refuse grids beyond this
 MAX_GRID_POINTS = 10**6
 #: verify_metastability refuses to evaluate more points than this per cell
 MAX_WINDOW_EVALS = 10**7
@@ -249,6 +249,18 @@ def _diameter(points: np.ndarray) -> tuple[float, str]:
     return _suffix_diameters(points, [0])[0]
 
 
+def _capped_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """``np.arange(lo, hi + step / 2, step)``, refused before it is allocated
+    when it would hold more than ``MAX_GRID_POINTS`` points."""
+    # np.arange's own length formula
+    n_points = math.ceil((hi + step / 2 - lo) / step)
+    if n_points > MAX_GRID_POINTS:
+        raise ResourceLimitError(
+            f"grid from {lo} to {hi} at step {step} needs {n_points} grid points"
+        )
+    return np.arange(lo, hi + step / 2, step)
+
+
 def _window_grid(lo: float, hi: float, step: float) -> np.ndarray:
     ts = np.arange(lo, hi + step / 2, step)
     if ts.size == 0 or ts[-1] < hi - 1e-12:
@@ -279,7 +291,7 @@ def verify_integrable_dip(
         worst = 0.0
         for n in range(n_max + 1):
             ts = _window_grid(n, width_mult * (k + 1) + n, grid_step)
-            best = min(float(f(float(t))) for t in ts)
+            best = float(min(map(f, ts.tolist())))
             worst = max(worst, best)
             if best > target + tol:
                 report.violations.append({"k": k, "n": n, "best": best})
@@ -348,13 +360,7 @@ def _verify_pairwise(
     thresholds = {k: int(threshold(k)) for k in ks}
     t_lo = min(thresholds.values())
     horizon = max(thresholds.values()) + horizon_pad
-    # np.arange's own length formula, so the cap is checked before allocating
-    n_points = math.ceil((horizon + grid_step / 2 - t_lo) / grid_step)
-    if n_points > MAX_GRID_POINTS:
-        raise ResourceLimitError(
-            f"horizon {horizon} at step {grid_step} needs {n_points} grid points"
-        )
-    grid = np.arange(t_lo, horizon + grid_step / 2, grid_step)
+    grid = _capped_grid(t_lo, horizon, grid_step)
     points = curve_many(grid)
     slack = tol + 2.0 * err_bound
     report = Report(
@@ -604,8 +610,8 @@ _FUNCTIONALS = {
     "orbit-rate": ("none", lambda s: None),
     "from-rate": ("rate (rate expression)", lambda s: FromRateFunctional(
         rate_from_spec(_require(s, "rate", "phi.rate")))),
-    "constant": ("value (integer)", lambda s: ConstantFunctional(
-        int(_require(s, "value", "phi.value")))),
+    "constant": ("value (integer >= 0)", lambda s: ConstantFunctional(
+        _at_least(0, _require(s, "value", "phi.value"), "phi.value"))),
 }
 
 
@@ -672,6 +678,13 @@ def _number(convert, value, field_name: str):
         raise ConfigurationError(field_name, f"must be a number, got {value!r}") from exc
     if isinstance(number, float) and not math.isfinite(number):
         raise ConfigurationError(field_name, f"must be finite, got {value!r}")
+    return number
+
+
+def _at_least(minimum: int, value, field_name: str) -> int:
+    number = _number(int, value, field_name)
+    if number < minimum:
+        raise ConfigurationError(field_name, f"must be >= {minimum}, got {number}")
     return number
 
 
@@ -844,14 +857,14 @@ def _xu_roc(cfg: ExperimentConfig) -> Report:
 def _modulus_check(cfg: ExperimentConfig) -> Report:
     op = build_operator(cfg.operator)
     full = build_full_modulus(cfg.modulus)
-    K = _number(int, cfg.bound_K, "bound_K")
+    K = _at_least(1, cfg.bound_K, "bound_K")
     samples = cfg.samples or {"kind": "seeded", "count": 1000}
     kind = samples.get("kind")
     if kind == "seeded":
-        count = _number(int, samples.get("count", 1000), "samples.count")
-        if count < 1:
-            raise ConfigurationError("samples.count", f"must be positive, got {count}")
-        sampling = {"n_samples": count, "seed": int(cfg.seed or 0)}
+        count = _at_least(1, samples.get("count", 1000), "samples.count")
+        if count > MAX_GRID_POINTS:
+            raise ResourceLimitError(f"samples.count {count} exceeds {MAX_GRID_POINTS} points")
+        sampling = {"n_samples": count, "seed": _at_least(0, cfg.seed or 0, "seed")}
     elif kind == "grid":
         lo, hi, step = (_number(float, samples.get(key), f"samples.{key}")
                         for key in ("lo", "hi", "step"))
@@ -859,7 +872,7 @@ def _modulus_check(cfg: ExperimentConfig) -> Report:
             raise ConfigurationError("samples.step", f"must be positive, got {step}")
         if hi < lo:
             raise ConfigurationError("samples.hi", f"must be >= samples.lo = {lo}, got {hi}")
-        sampling = {"points": np.arange(lo, hi + step / 2, step)}
+        sampling = {"points": _capped_grid(lo, hi, step)}
     else:
         raise ConfigurationError("samples.kind", f"unknown sampling kind '{kind}'")
     inner = check_full_modulus(op, full, K, cfg.k_range[1], cfg.tolerance, **sampling)

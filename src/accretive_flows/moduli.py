@@ -211,23 +211,24 @@ def theta_scaled_identity(alpha: float) -> ThetaModulus:
 def simple_from_full(full: FullModulus) -> SimpleModulus:
     """Simple modulus Omega(K, phi)(k, m) = max(m, phi(full(K, k)))."""
 
-    def simple(K: int, phi: RateFn) -> LiminfRateFn:
-        return _labeled(
-            lambda k, m: max(int(m), int(phi(full(K, k)))),
-            f"simple({rate_label(full)})",
-        )
+    label = f"simple({rate_label(full)})"
 
-    return _labeled(simple, f"simple({rate_label(full)})")
+    def simple(K: int, phi: RateFn) -> LiminfRateFn:
+        return _labeled(lambda k, m: max(int(m), int(phi(full(K, k)))), label)
+
+    return _labeled(simple, label)
 
 
 def weak_from_simple(simple: SimpleModulus) -> WeakModulus:
     """Weak modulus Omega_w(K, phi)(k) = Omega(K, phi)(k, 0)."""
 
+    label = f"weak({rate_label(simple)})"
+
     def weak(K: int, phi: RateFn) -> RateFn:
         liminf = simple(K, phi)
-        return _labeled(lambda k: liminf(k, 0), f"weak({rate_label(simple)})")
+        return _labeled(lambda k: liminf(k, 0), label)
 
-    return _labeled(weak, f"weak({rate_label(simple)})")
+    return _labeled(weak, label)
 
 
 def weak_from_full(full: FullModulus) -> WeakModulus:

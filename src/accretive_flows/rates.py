@@ -34,7 +34,12 @@ Core building blocks
                           Phi(8k+7, h_N) : N <= Gamma'(8k+7, j) },
 
   where Phi(k, f) bounds some n <= Phi(k, f) with
-  ||S(t)u(n) - u(t+n)|| <= 1/(k+1) for all t in [0, f(n)].
+  ||S(t)u(n) - u(t+n)|| <= 1/(k+1) for all t in [0, f(n)].  Omega_m
+  depends on m only through the graph bound f_m, so when f_s is the same
+  for every s (a ``ConstantGraphBound``, as ``XuInputs.from_orbit`` builds)
+  every Omega_m equals Omega_0 and the max over m in Gamma' is Omega_0
+  exactly; likewise the max over N in Gamma is Phi(8k+7, f) when Phi
+  ignores its counterfunction.
 * ``almost_orbit_cauchy_threshold``: when the defect rate is a plain rate
   Phi, all t, t' >= max(Phi(8k+7), s* + Omega_{s*}(3k+2)) with
   s* = Phi(omega(B, 3k+2)) satisfy ||u(t) - u(t')|| <= 1/(k+1).
@@ -62,6 +67,7 @@ __all__ = [
     "XuInputs",
     "FromRateFunctional",
     "ConstantFunctional",
+    "ConstantGraphBound",
     "pairing_dip_rate",
     "orbit_cauchy_threshold",
     "closure_cauchy_threshold",
@@ -272,6 +278,17 @@ class ConstantFunctional:
 
 
 @dataclass(frozen=True)
+class ConstantGraphBound:
+    """Graph-approximation bound f_s = rate for every s."""
+
+    rate: RateFn
+    s_independent = True
+
+    def __call__(self, s: float) -> RateFn:
+        return self.rate
+
+
+@dataclass(frozen=True)
 class XuInputs:
     """Audited inputs for the almost-orbit certificates.
 
@@ -321,7 +338,6 @@ class XuInputs:
         B = int(u.bound_B)
         p_norm = int(math.ceil(norm(u.zero)))
         G = u.operator.graph_norm_bound(B + p_norm)
-        const_rate = rate_from_spec({"const": G})
         phi = functional if functional is not None else FromRateFunctional(u.rate_phi)
         phi_rate = u.rate_phi if functional is None else None
         return cls(
@@ -329,7 +345,7 @@ class XuInputs:
             phi=phi,
             omega=omega if omega is not None else projection_modulus_identity(),
             B=B,
-            f_s=lambda s: const_rate,
+            f_s=ConstantGraphBound(rate_from_spec({"const": G})),
             p_norm=p_norm,
             phi_rate=phi_rate,
             provenance={
@@ -357,19 +373,35 @@ def zero_gap_threshold(inp: XuInputs, s: float, k: int) -> int:
 
 def zero_gap_metastability_bound(inp: XuInputs, k: int, f: RateFn) -> int:
     """Gamma'(k, f): bound on an n with ||u(t) - Pu(t)|| <= 1/(k+1) throughout
-    [n, n + f(n)]."""
-    j = 3 * k + 2
+    [n, n + f(n)].
 
-    def om(m: int) -> int:
-        return zero_gap_threshold(inp, m, j)
+    When ``inp.f_s`` is marked ``s_independent``, Omega_0 is computed once
+    and the max over m <= Phi(omega(B, 3k+2), g) is Omega_0; any other f_s
+    takes the max term by term.
+    """
+    j = 3 * k + 2
+    s_independent = getattr(inp.f_s, "s_independent", False)
+    if s_independent:
+        # om(m) depends on m only through f_s(m), so every om(m) equals om(0)
+        om0 = zero_gap_threshold(inp, 0, j)
+
+        def om(m: int) -> int:
+            return om0
+    else:
+        def om(m: int) -> int:
+            return zero_gap_threshold(inp, m, j)
 
     def g(m: int) -> int:
         v = om(m)
         return v + int(f(m + v))
 
     first = int(inp.phi(inp.omega(inp.B, j), g))
+    if first < 0:
+        raise ValueError(f"metastability functional output {first} is negative")
     if first > INDEX_CAP:
         raise ResourceLimitError(f"metastability functional output {first} exceeds cap")
+    if s_independent:
+        return first + om(0)
     return first + max(om(m) for m in range(first + 1))
 
 

@@ -152,6 +152,14 @@ def _quartic_grid(**samples):
      {"samples": {"kind": "seeded", "count": 0}}, "samples.count"),
     ("modulus_quartic.json", "verify-modulus",
      {"samples": {"kind": "seeded", "count": -3}}, "samples.count"),
+    ("xu_meta_scaled_identity.json", "certify-xu-meta",
+     {"phi": {"kind": "constant", "value": -1}}, "phi.value"),
+    ("modulus_scaled_identity.json", "verify-modulus",
+     {"seed": -1, "samples": {"kind": "seeded", "count": 10}}, "seed"),
+    ("modulus_scaled_identity.json", "verify-modulus",
+     {"bound_K": 0, "samples": {"kind": "seeded", "count": 10}}, "bound_K"),
+    ("modulus_scaled_identity.json", "verify-modulus",
+     {"bound_K": -3, "samples": {"kind": "seeded", "count": 10}}, "bound_K"),
 ])
 def test_malformed_config_exits_two_and_names_the_field(
     name, command, overrides, field, tmp_path, capsys

@@ -132,6 +132,27 @@ def test_grid_cap_refuses_before_allocating_the_grid():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("samples, message", [
+    # 12 / 1e-5 is 1.2 M points: about 10 MB as a float64 grid
+    ({"kind": "grid", "lo": -6.0, "hi": 6.0, "step": 1e-5}, "needs 1200001 grid points"),
+    ({"kind": "seeded", "count": 2 * 10**6}, "samples.count 2000000 exceeds"),
+])
+def test_modulus_check_sampling_cap_refuses_before_allocating(samples, message):
+    cfg = ExperimentConfig.from_dict({
+        "scenario": "modulus-check", "operator": {"kind": "quartic-well"},
+        "modulus": {"kind": "quartic-well"}, "bound_K": 501, "k_range": [0, 5],
+        "samples": samples,
+    })
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=message):
+            run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # ------------------------------------------------------------- sampling edge
 
 def test_sampling_survives_heavy_rejection():

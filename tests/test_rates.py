@@ -1,8 +1,15 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
+import accretive_flows.harness as harness_mod
 import accretive_flows.rates as rates_mod
 from accretive_flows import (
     ConstantFunctional,
+    ConstantGraphBound,
+    ExperimentConfig,
     NRInputs,
     XuInputs,
     almost_orbit_cauchy_threshold,
@@ -18,10 +25,13 @@ from accretive_flows import (
     projection_modulus_identity,
     promote_hit_rate,
     rate_from_spec,
+    run_experiment,
     weak_from_full,
     zero_gap_metastability_bound,
     zero_gap_threshold,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # frozen from the independent evaluation script
 OMEGA_ETA_ROW_R0 = [51, 487, 1691, 4047, 7939, 13751]
@@ -280,6 +290,16 @@ def test_pathological_functional_hits_resource_cap():
         zero_gap_metastability_bound(inp, 0, identity_rate)
 
 
+@pytest.mark.parametrize("f_s", [
+    ConstantGraphBound(rate_from_spec({"const": 0})), lambda s: rate_from_spec({"const": 0}),
+])
+def test_negative_functional_output_is_refused(f_s):
+    # the collapsed max would otherwise return a negative bound silently
+    inp = dataclasses.replace(_xu_inputs_stub(phi=lambda k, f: -1), f_s=f_s)
+    with pytest.raises(ValueError, match="negative"):
+        zero_gap_metastability_bound(inp, 0, identity_rate)
+
+
 def test_promote_hit_rate_substitution():
     assert promote_hit_rate(identity_rate)(3) == 7
     assert promote_hit_rate(rate_from_spec({"pow": 2}))(1) == 9
@@ -291,3 +311,106 @@ def test_thresholds_are_pure(orbit_c1):
     assert len(set(a)) == 1
     b = [almost_orbit_cauchy_threshold(inp, 1) for _ in range(3)]
     assert len(set(b)) == 1
+
+
+# ------------------------------------- Gamma' with an s-independent graph bound
+
+def _xu_meta_configs():
+    """Every shipped xu-meta config, then the k_range [0, 8] +-x variants
+    with each metastability functional kind."""
+    shipped = sorted(p.name for p in CONFIG_DIR.glob("*.json")
+                     if json.loads(p.read_text(encoding="utf-8"))["scenario"] == "xu-meta")
+    out = [pytest.param(name, {}, id=name) for name in shipped]
+    for sign in (1.0, -1.0):
+        for phi in ({"kind": "orbit-rate"}, {"kind": "from-rate", "rate": {"affine": [2, 3]}},
+                    {"kind": "constant", "value": 5}):
+            out.append(pytest.param("xu_meta_scaled_identity.json", {
+                "k_range": [0, 8], "initial_point": [2.0 * sign],
+                "almost_orbit": {"c": 1.0, "direction": [sign]}, "phi": phi,
+            }, id=f"{'+' if sign > 0 else '-'}x-{phi['kind']}"))
+    return out
+
+
+def _config_inputs(name, overrides):
+    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    cfg = ExperimentConfig.from_dict({**raw, **overrides})
+    _, orbit, weak = harness_mod._audit(cfg, harness_mod._cfg_orbit)
+    inp = XuInputs.from_orbit(orbit, weak, omega=harness_mod._cfg_omega(cfg),
+                              functional=harness_mod._cfg_functional(cfg))
+    counterfunctions = [rate_from_spec(c) for c in cfg.counterfunctions or ["id"]]
+    return cfg, inp, counterfunctions
+
+
+class _CountingThreshold:
+    """Delegates to the real zero_gap_threshold and counts the calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, inp, s, k):
+        self.calls += 1
+        return _ZERO_GAP_THRESHOLD(inp, s, k)
+
+
+_ZERO_GAP_THRESHOLD = rates_mod.zero_gap_threshold
+
+
+@pytest.mark.parametrize("name, overrides", _xu_meta_configs())
+def test_flagged_graph_bound_equals_the_general_loop(name, overrides):
+    cfg, inp, counterfunctions = _config_inputs(name, overrides)
+    assert inp.f_s.s_independent
+    rate = inp.f_s(0)
+    general = dataclasses.replace(inp, f_s=lambda s: rate)
+    assert not getattr(general.f_s, "s_independent", False)
+    lo, hi = cfg.k_range
+    for k in range(lo, hi + 1):
+        for f in counterfunctions:
+            assert (zero_gap_metastability_bound(inp, k, f)
+                    == zero_gap_metastability_bound(general, k, f))
+            assert orbit_metastability_bound(inp, k, f) == orbit_metastability_bound(general, k, f)
+
+
+def test_graph_bound_growing_in_s_takes_the_general_loop():
+    # a K-dependent full modulus, so Omega_m grows with f_m
+    weak = weak_from_full(lambda K, k: K * (k + 1))
+    inp = XuInputs(
+        weak_modulus=weak, phi=ConstantFunctional(3), omega=projection_modulus_identity(),
+        B=1, f_s=lambda s: rate_from_spec({"const": 10 * int(s)}), p_norm=0,
+    )
+    j = 3 * 2 + 2
+    got = zero_gap_metastability_bound(inp, 2, identity_rate)
+    assert got == 3 + zero_gap_threshold(inp, 3, j)
+    assert got > 3 + zero_gap_threshold(inp, 0, j)
+
+
+def _probing_functional(k, f):
+    """Evaluates its counterfunction, so Gamma' evaluates g."""
+    f(0)
+    f(7)
+    return 2
+
+
+@pytest.mark.parametrize("functional", [None, ConstantFunctional(4), _probing_functional])
+def test_flagged_gamma_prime_computes_omega_zero_once(orbit_c1, functional, monkeypatch):
+    inp = XuInputs.from_orbit(orbit_c1, _weak_sacc(), functional=functional)
+    for k in range(4):
+        counter = _CountingThreshold()
+        monkeypatch.setattr(rates_mod, "zero_gap_threshold", counter)
+        zero_gap_metastability_bound(inp, k, identity_rate)
+        assert counter.calls == 1
+
+
+def test_from_convexity_xu_meta_completes(monkeypatch):
+    # Gamma is about 1.1e8 at k = 0, so a max over m taken term by term
+    # would call zero_gap_threshold that many times per row
+    raw = json.loads((CONFIG_DIR / "xu_meta_scaled_identity.json").read_text(encoding="utf-8"))
+    cfg = ExperimentConfig.from_dict(
+        {**raw, "omega": {"kind": "from-convexity"}, "k_range": [0, 1]})
+    counter = _CountingThreshold()
+    monkeypatch.setattr(rates_mod, "zero_gap_threshold", counter)
+    report = run_experiment(cfg)
+    assert report.passed
+    assert all(row.status == "PASS" for row in report.rows)
+    assert report.rows[0].certified_bound > 10**8
+    # one Gamma' per (k, counterfunction) row, one Omega_0 per Gamma'
+    assert counter.calls == len(report.rows) == 2 * len(cfg.counterfunctions)
