@@ -904,19 +904,21 @@ def _liminf_check(cfg: ExperimentConfig) -> Report:
     spec = cfg.liminf or {}
     form = spec.get("form")
     hi = cfg.k_range[1]
-    n_max = _number(int, spec.get("n_max", 10), "liminf.n_max")
+    n_max = _at_least(0, spec.get("n_max", 10), "liminf.n_max")
     if form == "integral":
         name = spec.get("integrand", "inv-square")
         if not isinstance(name, str) or name not in _INTEGRANDS:
             raise ConfigurationError("liminf.integrand", f"unknown integrand '{name}'")
+        L = _number(float, spec.get("bound_L"), "liminf.bound_L")
+        if L < 0:
+            raise ConfigurationError("liminf.bound_L", f"must be >= 0, got {L}")
         return verify_integrable_dip(
-            _INTEGRANDS[name], _number(float, spec.get("bound_L"), "liminf.bound_L"), hi, n_max,
-            grid_step=cfg.grid_step, tol=cfg.tolerance,
+            _INTEGRANDS[name], L, hi, n_max, grid_step=cfg.grid_step, tol=cfg.tolerance,
         )
     if form == "flow-pairing":
         op = build_operator(cfg.operator)
         x = _cfg_point(cfg, op)
-        b = _number(int, spec.get("b", math.ceil(norm(x - op.zero_projection(x)))), "liminf.b")
+        b = _at_least(0, spec.get("b", math.ceil(norm(x - op.zero_projection(x)))), "liminf.b")
         return verify_flow_pairing_dip(
             op, x, b, hi, n_max, grid_step=cfg.grid_step, tol=cfg.tolerance,
         )

@@ -11,10 +11,14 @@ zeros of ``A``.  Each instance implements, on ``(n, d)`` row batches:
 * ``exact_flow_many(x, ts)``    -- closed-form flow at many times, where one
   exists,
 
-plus ``resolvent(gamma, x)`` (one implicit-Euler step) and ``zero_witness()``
-(some ``p`` with ``0 in Ap``).  The base class supplies the one-point forms
-``zero_projection(x)``, ``value(x)`` and ``exact_flow(x, t)`` as row 0 of the
-batch.  ``sample_graph_pairs`` draws graph pairs as ``(X, Y)`` arrays.
+plus ``resolvent(gamma, x, n=1)`` and ``zero_witness()`` (some ``p`` with
+``0 in Ap``).  ``resolvent`` returns ``(Id + gamma A)^{-n} x``, the whole
+chain of ``n`` implicit-Euler steps of size ``gamma``: the linear operators
+apply it in closed form, the quartic well runs its scalar solve ``n`` times.
+Its arguments are checked once per chain, not once per step.  The base class
+supplies the one-point forms ``zero_projection(x)``, ``value(x)`` and
+``exact_flow(x, t)`` as row 0 of the batch.  ``sample_graph_pairs`` draws
+graph pairs as ``(X, Y)`` arrays.
 
 The closed-form flows double as independent oracles for the verification
 harness.
@@ -54,7 +58,9 @@ class AccretiveOperator:
     name: str = "abstract"
     dim: int = 0
 
-    def resolvent(self, gamma: float, x) -> np.ndarray:
+    def resolvent(self, gamma: float, x, n: int = 1) -> np.ndarray:
+        """(Id + gamma A)^{-n} x: ``n`` implicit-Euler steps of size
+        ``gamma`` from ``x``."""
         raise NotImplementedError
 
     def zero_projection(self, x) -> np.ndarray:
@@ -93,11 +99,20 @@ class AccretiveOperator:
             raise ValueError(f"{self.name} acts on R^{self.dim}, got {x.shape[0]}-d point")
         return x
 
+    def _check_chain(self, gamma, x, n) -> tuple[np.ndarray, int]:
+        """Validated ``(x, n)`` for ``resolvent(gamma, x, n)``."""
+        x = self._check_dim(x)
+        if gamma <= 0:
+            raise ValueError("gamma must be positive")
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        return x, int(n)
+
 
 class ScaledIdentity(AccretiveOperator):
     """Ax = alpha * x with alpha > 0; strongly accretive, zero set {0}.
 
-    Closed forms: resolvent(gamma, x) = x / (1 + gamma*alpha) and
+    Closed forms: resolvent(gamma, x, n) = x / (1 + gamma*alpha)^n and
     flow S(t)x = exp(-alpha t) x.
     """
 
@@ -110,11 +125,12 @@ class ScaledIdentity(AccretiveOperator):
         self.dim = int(dim)
         self.name = f"scaled-identity(alpha={self.alpha:g}, d={self.dim})"
 
-    def resolvent(self, gamma, x):
-        x = self._check_dim(x)
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return x / (1.0 + gamma * self.alpha)
+    def resolvent(self, gamma, x, n=1):
+        """x / (1 + gamma*alpha)^n; a power past the float range divides
+        to 0, as the step-by-step chain underflows."""
+        x, n = self._check_chain(gamma, x, n)
+        with np.errstate(over="ignore"):
+            return x / np.float64(1.0 + gamma * self.alpha) ** n
 
     def zero_projection_many(self, X):
         return np.zeros_like(np.asarray(X, dtype=float))
@@ -137,9 +153,10 @@ class ScaledIdentity(AccretiveOperator):
 class SPDLinear(AccretiveOperator):
     """Ax = Mx for a symmetric positive-definite matrix M.
 
-    Strongly accretive with constant lambda_min(M); zero set {0}.  The
-    resolvent solves (Id + gamma M) z = x directly, and the flow is the
-    matrix exponential exp(-tM) x evaluated through the eigendecomposition.
+    Strongly accretive with constant lambda_min(M); zero set {0}.  Both the
+    resolvent chain (Id + gamma M)^{-n} x = V diag((1 + gamma lambda)^{-n})
+    V^T x and the flow exp(-tM) x are evaluated through the
+    eigendecomposition M = V diag(lambda) V^T.
     """
 
     def __init__(self, M):
@@ -165,11 +182,11 @@ class SPDLinear(AccretiveOperator):
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def resolvent(self, gamma, x):
-        x = self._check_dim(x)
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return np.linalg.solve(np.eye(self.dim) + gamma * self.M, x)
+    def resolvent(self, gamma, x, n=1):
+        """The exact n-chain V diag((1 + gamma lambda)^{-n}) V^T x."""
+        x, n = self._check_chain(gamma, x, n)
+        V = self.eigenvectors
+        return V @ ((1.0 + gamma * self.eigenvalues) ** -n * (V.T @ x))
 
     def zero_projection_many(self, X):
         return np.zeros_like(np.asarray(X, dtype=float))
@@ -205,8 +222,9 @@ class QuarticWell(AccretiveOperator):
     A = f' with f(x) = (x-1)^4 on [1, inf), 0 on [-1, 1], (x+1)^4 on
     (-inf, -1].  The zero set is the whole interval [-1, 1] (so the zero is
     not unique), and the nearest-point projection is the clamp to [-1, 1].
-    The resolvent solves the strictly increasing scalar equation
-    z + gamma f'(z) = x by safeguarded Newton with a bisection fallback.
+    Each resolvent step solves the strictly increasing scalar equation
+    z + gamma f'(z) = x by safeguarded Newton with a bisection fallback; a
+    chain of n steps runs that solve n times on Python floats.
     """
 
     #: residual tolerance for the scalar resolvent solve
@@ -216,11 +234,13 @@ class QuarticWell(AccretiveOperator):
         self.dim = 1
         self.name = "quartic-well"
 
-    def resolvent(self, gamma, x):
-        x = self._check_dim(x)
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return np.array([_solve_quartic_resolvent(float(gamma), float(x[0]))])
+    def resolvent(self, gamma, x, n=1):
+        x, n = self._check_chain(gamma, x, n)
+        gamma = float(gamma)
+        z = float(x[0])
+        for _ in range(n):
+            z = _solve_quartic_resolvent(gamma, z)
+        return np.array([z])
 
     def zero_projection_many(self, X):
         return np.clip(np.asarray(X, dtype=float), -1.0, 1.0)

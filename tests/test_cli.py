@@ -160,6 +160,14 @@ def _quartic_grid(**samples):
      {"bound_K": 0, "samples": {"kind": "seeded", "count": 10}}, "bound_K"),
     ("modulus_scaled_identity.json", "verify-modulus",
      {"bound_K": -3, "samples": {"kind": "seeded", "count": 10}}, "bound_K"),
+    ("liminf_integral.json", "liminf-check",
+     {"liminf": {"form": "integral", "bound_L": 1.0, "n_max": -1}}, "liminf.n_max"),
+    ("liminf_flow_quartic.json", "liminf-check",
+     {"liminf": {"form": "flow-pairing", "b": 2, "n_max": -5}}, "liminf.n_max"),
+    ("liminf_integral.json", "liminf-check",
+     {"liminf": {"form": "integral", "bound_L": -5, "n_max": 20}}, "liminf.bound_L"),
+    ("liminf_flow_quartic.json", "liminf-check",
+     {"liminf": {"form": "flow-pairing", "b": -1, "n_max": 10}}, "liminf.b"),
 ])
 def test_malformed_config_exits_two_and_names_the_field(
     name, command, overrides, field, tmp_path, capsys

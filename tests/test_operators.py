@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 
 from accretive_flows import (
     AccretiveOperator,
+    QuarticWell,
+    ScaledIdentity,
+    SPDLinear,
     check_accretive,
     dirichlet_laplacian_1d,
     make_quartic_well,
@@ -162,6 +166,63 @@ def test_resolvent_nonexpansive_and_firm(op, rng):
         assert norm(jx - jy) <= norm(x - y) + 1e-10
         # firm nonexpansiveness in the Euclidean model
         assert norm(jx - jy) ** 2 <= pairing(jx - jy, x - y) + 1e-10
+
+
+def _one_step(op, gamma, z):
+    """One resolvent step by a per-step reference formula: a division, a
+    dense solve, or the quartic well's scalar solve."""
+    if isinstance(op, ScaledIdentity):
+        return z / (1.0 + gamma * op.alpha)
+    if isinstance(op, SPDLinear):
+        return np.linalg.solve(np.eye(op.dim) + gamma * op.M, z)
+    return op.resolvent(gamma, z)
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000])
+@pytest.mark.parametrize("op", all_ops(), ids=lambda o: o.name)
+def test_resolvent_chain_equals_n_single_steps(op, n, rng):
+    for t in (1.0, 3.0):
+        gamma = t / n
+        x = rng.uniform(-5, 5, size=op.dim)
+        z = x
+        for _ in range(n):
+            z = _one_step(op, gamma, z)
+        chain = op.resolvent(gamma, x, n)
+        if isinstance(op, QuarticWell) or (isinstance(op, ScaledIdentity) and n == 1):
+            assert np.array_equal(chain, z)
+        else:
+            assert norm(chain - z) <= 1e-12 * norm(z)
+
+
+def test_scaled_identity_long_chain_matches_single_steps():
+    op = make_scaled_identity(2.5, 3)
+    x = np.array([1.0, -4.0, 2.5])
+    gamma = 1.0 / 8192
+    z = x
+    for _ in range(8192):
+        z = z / (1.0 + gamma * op.alpha)
+    assert norm(op.resolvent(gamma, x, 8192) - z) <= 1e-12 * norm(z)
+
+
+def test_scaled_identity_chain_past_float_range_is_zero():
+    # (1 + 0.5 * 2.5)^2000 overflows; the step-by-step chain underflows to 0
+    op = make_scaled_identity(2.5, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(op.resolvent(0.5, [1.0, -4.0, 2.5], 2000), np.zeros(3))
+
+
+@pytest.mark.parametrize("op", all_ops(), ids=lambda o: o.name)
+def test_resolvent_rejects_bad_chain_arguments(op):
+    x = np.ones(op.dim)
+    with pytest.raises(ValueError):
+        op.resolvent(0.5, np.ones(op.dim + 1), 3)
+    for gamma in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            op.resolvent(gamma, x, 3)
+    for n in (0, -3, 2.5):
+        with pytest.raises(ValueError):
+            op.resolvent(0.5, x, n)
 
 
 @pytest.mark.parametrize("op", all_ops(), ids=lambda o: o.name)

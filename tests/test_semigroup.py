@@ -67,6 +67,31 @@ def test_quartic_oracle_against_fine_euler_chain(quartic):
     assert abs(approx[0] - QUARTIC_FLOW_X3_T1) <= 1e-3
 
 
+def test_scaled_identity_chain_of_two_to_the_24_steps():
+    op = make_scaled_identity(1.0, 1)
+    assert steps_for_tolerance(1.0, 2.0, 1e-3) == 2**24
+    pt, err = evaluate_semigroup(op, [2.0], 1.0, 1e-3)
+    assert err <= 1e-3
+    assert abs(pt[0] - 2.0 * math.exp(-1.0)) <= err
+
+
+def test_laplacian_chain_of_two_to_the_20_steps():
+    d = 16
+    op = make_spd_linear(dirichlet_laplacian_1d(d))
+    x = np.linspace(-1.0, 2.0, d)
+    speed = norm(op.value(x))
+    tol = 2.0 * speed / 1000.0  # needs sqrt(n) >= 1000
+    assert steps_for_tolerance(1.0, speed, tol) == 2**20
+    # analytic eigenpairs of tridiag(-1, 2, -1), independent of eigh
+    j = np.arange(1, d + 1)
+    lam = 2.0 - 2.0 * np.cos(j * math.pi / (d + 1))
+    V = math.sqrt(2.0 / (d + 1)) * np.sin(np.outer(j, j) * math.pi / (d + 1))
+    exact = V @ (np.exp(-lam) * (V.T @ x))
+    pt, err = evaluate_semigroup(op, x, 1.0, tol)
+    assert err <= tol
+    assert norm(pt - exact) <= err
+
+
 def test_steps_for_tolerance_doubles_from_four():
     assert steps_for_tolerance(1.0, 1.0, 2.0) == 4
     n = steps_for_tolerance(1.0, 2.0, 0.05)
