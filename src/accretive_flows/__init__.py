@@ -8,14 +8,12 @@ empirically against closed-form flow oracles.
 """
 
 from .errors import ConfigurationError, ResourceLimitError
-from .space import Point, as_point, eta_hilbert, norm, pairing
+from .space import Point, as_point, eta_hilbert, norm
 from .operators import (
     AccretiveOperator,
-    AccretivityReport,
     QuarticWell,
     SPDLinear,
     ScaledIdentity,
-    check_accretive,
     dirichlet_laplacian_1d,
     make_quartic_well,
     make_scaled_identity,
@@ -24,18 +22,13 @@ from .operators import (
 )
 from .semigroup import (
     AlmostOrbit,
-    FlowSample,
-    Trajectory,
     almost_orbit_bound,
-    almost_orbit_defect,
     cl_error_bound,
-    evaluate_oracle,
     evaluate_oracle_many,
     evaluate_semigroup,
     make_almost_orbit,
     resolvent_power,
     steps_for_tolerance,
-    trajectory,
 )
 from .moduli import (
     FullModulusReport,
@@ -71,7 +64,6 @@ from .rates import (
     pairing_dip_rate,
     projection_modulus_from_convexity,
     projection_modulus_identity,
-    promote_hit_rate,
     zero_gap_metastability_bound,
     zero_gap_threshold,
 )
@@ -86,7 +78,6 @@ from .harness import (
     empirical_rate_of_convergence,
     registered_pairs,
     run_experiment,
-    verify_almost_orbit_rate,
     verify_cauchy_rate,
     verify_flow_pairing_dip,
     verify_integrable_dip,

@@ -77,7 +77,6 @@ __all__ = [
     "zero_gap_metastability_bound",
     "orbit_metastability_bound",
     "almost_orbit_cauchy_threshold",
-    "promote_hit_rate",
 ]
 
 #: search-loop indices beyond this are treated as pathological
@@ -437,14 +436,3 @@ def almost_orbit_cauchy_threshold(inp: XuInputs, k: int) -> int:
     j = 3 * k + 2
     s_star = int(rate(inp.omega(inp.B, j)))
     return max(int(rate(8 * k + 7)), s_star + zero_gap_threshold(inp, s_star, j))
-
-
-def promote_hit_rate(phi: RateFn) -> RateFn:
-    """Upgrade 'some s0 <= phi(k) has defect sup <= 1/(k+1)' into the full
-    defect rate k |-> phi(2k+1) (valid by the flow's semigroup property)."""
-
-    def rate(k: int) -> int:
-        return int(phi(2 * k + 1))
-
-    rate.label = f"promoted({rate_label(phi)})"
-    return rate

@@ -18,8 +18,7 @@ a certified error bound to every computed point.  (The constant is validated
 empirically against the closed-form flows in the test suite before being
 trusted in certificates.)
 
-Also provided: trajectories over time grids with additive error bookkeeping,
-and perturbed orbits u(t) = S(t)x + (c/(1+t)) e whose defect
+Also provided: perturbed orbits u(t) = S(t)x + (c/(1+t)) e whose defect
 
     sup_{t>=0} || u(t+s) - S(t) u(s) ||  <=  2c / (1+s)
 
@@ -39,20 +38,15 @@ from .operators import AccretiveOperator
 from .space import as_point, norm
 
 __all__ = [
-    "FlowSample",
-    "Trajectory",
     "AlmostOrbit",
     "STEP_CAP",
     "cl_error_bound",
     "steps_for_tolerance",
     "resolvent_power",
     "evaluate_semigroup",
-    "evaluate_oracle",
     "evaluate_oracle_many",
-    "trajectory",
     "make_almost_orbit",
     "almost_orbit_bound",
-    "almost_orbit_defect",
 ]
 
 #: hard cap on the number of resolvent steps in one chain
@@ -110,80 +104,12 @@ def evaluate_semigroup(op: AccretiveOperator, x, t: float, tol: float) -> tuple[
     return z, cl_error_bound(t, speed, n)
 
 
-def evaluate_oracle(op: AccretiveOperator, x, t: float) -> np.ndarray:
-    """Exact flow value from the operator's closed form.
-
-    Raises ValueError for operators without one.
-    """
-    try:
-        return op.exact_flow(x, t)
-    except NotImplementedError as exc:
-        raise ValueError(str(exc)) from exc
-
-
 def evaluate_oracle_many(op: AccretiveOperator, x, ts) -> np.ndarray:
     """Exact flow values at many times; rows follow ``ts``."""
     try:
         return op.exact_flow_many(x, np.asarray(ts, dtype=float))
     except NotImplementedError as exc:
         raise ValueError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class FlowSample:
-    t: float
-    point: np.ndarray
-    err_bound: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Flow samples along a time grid with certified error bounds."""
-
-    operator: str
-    initial: np.ndarray
-    samples: tuple[FlowSample, ...]
-
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    def points(self) -> np.ndarray:
-        return np.stack([s.point for s in self.samples])
-
-    def err_bounds(self) -> np.ndarray:
-        return np.array([s.err_bound for s in self.samples])
-
-
-def trajectory(op: AccretiveOperator, x, grid, tol: float) -> Trajectory:
-    """Evaluate the flow along a sorted nonnegative time grid.
-
-    Steps from the previous grid point (one resolvent chain per interval
-    instead of one per prefix); per-step certificates accumulate additively,
-    so err_bounds are nondecreasing along the grid.  ``tol`` is the per-step
-    certificate target.
-    """
-    x = as_point(x)
-    grid = [float(t) for t in grid]
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    if grid[0] < 0:
-        raise ValueError("grid times must be nonnegative")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid times must be strictly increasing")
-
-    samples = []
-    current = x
-    err = 0.0
-    prev_t = 0.0
-    for t in grid:
-        dt = t - prev_t
-        if dt > 0:
-            point, step_err = evaluate_semigroup(op, current, dt, tol)
-            err += step_err
-            current = point
-        samples.append(FlowSample(t=t, point=current.copy(), err_bound=err))
-        prev_t = t
-    return Trajectory(operator=op.name, initial=x, samples=tuple(samples))
 
 
 @dataclass(frozen=True)
@@ -265,8 +191,3 @@ def almost_orbit_bound(u: AlmostOrbit, p, grid) -> int:
     tail = 1.0 + float(gaps[-1])
     return max(1, int(math.ceil(max(float(np.max(gaps)), tail))))
 
-
-def almost_orbit_defect(u: AlmostOrbit, s: float, t: float) -> float:
-    """||u(t+s) - S(t)u(s)||, the defect of u against the exact flow."""
-    flowed = evaluate_oracle(u.operator, u.evaluate(s), t)
-    return norm(u.evaluate(t + s) - flowed)

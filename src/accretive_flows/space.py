@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Point", "as_point", "norm", "pairing", "eta_hilbert"]
+__all__ = ["Point", "as_point", "norm", "eta_hilbert"]
 
 # State vectors are plain 1-d float arrays.
 Point = np.ndarray
@@ -32,21 +32,6 @@ def as_point(coords) -> Point:
 
 def norm(x) -> float:
     return float(np.linalg.norm(as_point(x)))
-
-
-def pairing(y, x) -> float:
-    """Duality pairing <y, J(x)>, which is the inner product in this model.
-
-    Satisfies ``pairing(x, x) == norm(x)**2`` and the Cauchy-Schwarz bound
-    ``|pairing(y, x)| <= norm(y) * norm(x)``.
-    """
-    y = as_point(y)
-    x = as_point(x)
-    if y.shape != x.shape:
-        raise ValueError(
-            f"dimension mismatch: pairing of {y.shape[0]}-d with {x.shape[0]}-d point"
-        )
-    return float(np.dot(y, x))
 
 
 def eta_hilbert(eps: float) -> float:

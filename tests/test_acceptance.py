@@ -22,7 +22,6 @@ from accretive_flows import (
     check_weak_modulus,
     cl_error_bound,
     dirichlet_laplacian_1d,
-    evaluate_oracle,
     full_modulus_linear,
     full_modulus_quartic_well,
     full_modulus_strongly_accretive,
@@ -128,7 +127,7 @@ def test_criterion_05_euler_chain_certificate():
         x = np.full(op.dim, 2.0)
         speed = norm(op.value(x))
         for t in (0.5, 1.0, 2.0):
-            exact = evaluate_oracle(op, x, t)
+            exact = op.exact_flow(x, t)
             for n in (4, 16, 64, 256, 1024):
                 err = norm(resolvent_power(op, x, t, n) - exact)
                 assert err <= cl_error_bound(t, speed, n), (op.name, t, n, err)

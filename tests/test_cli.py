@@ -168,6 +168,32 @@ def _quartic_grid(**samples):
      {"liminf": {"form": "integral", "bound_L": -5, "n_max": 20}}, "liminf.bound_L"),
     ("liminf_flow_quartic.json", "liminf-check",
      {"liminf": {"form": "flow-pairing", "b": -1, "n_max": 10}}, "liminf.b"),
+    # a bound below the norm it stands for: ||x - Px|| = 39, ||x|| = 2, ||x - Px|| = 2
+    ("liminf_flow_quartic.json", "liminf-check",
+     {"initial_point": [40.0], "liminf": {"form": "flow-pairing", "b": 0, "n_max": 10}},
+     "liminf.b"),
+    ("nr_closure_scaled_identity.json", "certify-nr-closure",
+     {"closure": {"f": "id", "p_norm": 0, "x_norm_bound": 0, "x_dist_bound": 2}},
+     "closure.x_norm_bound"),
+    ("nr_closure_scaled_identity.json", "certify-nr-closure",
+     {"closure": {"f": "id", "p_norm": 0, "x_norm_bound": 2, "x_dist_bound": 0}},
+     "closure.x_dist_bound"),
+    ("nr_closure_scaled_identity.json", "certify-nr-closure",
+     {"closure": {"f": "id", "p_norm": -1, "x_norm_bound": 2, "x_dist_bound": 2}},
+     "closure.p_norm"),
+    # fractional values of integer fields
+    ("liminf_flow_quartic.json", "liminf-check",
+     {"liminf": {"form": "flow-pairing", "b": 2.5, "n_max": 10}}, "liminf.b"),
+    ("liminf_flow_quartic.json", "liminf-check",
+     {"liminf": {"form": "flow-pairing", "b": 2, "n_max": 10.5}}, "liminf.n_max"),
+    ("modulus_scaled_identity.json", "verify-modulus",
+     {"bound_K": 10.5, "samples": {"kind": "seeded", "count": 10}}, "bound_K"),
+    ("modulus_scaled_identity.json", "verify-modulus",
+     {"samples": {"kind": "seeded", "count": 10.5}}, "samples.count"),
+    ("nr_scaled_identity.json", "certify-nr", {"seed": 0.5}, "seed"),
+    ("nr_closure_scaled_identity.json", "certify-nr-closure",
+     {"closure": {"f": "id", "p_norm": 0, "x_norm_bound": 2.5, "x_dist_bound": 2}},
+     "closure.x_norm_bound"),
 ])
 def test_malformed_config_exits_two_and_names_the_field(
     name, command, overrides, field, tmp_path, capsys

@@ -22,7 +22,6 @@ from accretive_flows import (
     registered_pairs,
     run_experiment,
     simple_from_full,
-    verify_almost_orbit_rate,
     verify_cauchy_rate,
     verify_flow_pairing_dip,
     verify_integrable_dip,
@@ -164,35 +163,6 @@ def test_metastability_failure_reported(orbit_c1):
     )
     assert not report.passed
     assert report.violations
-
-
-# ----------------------------------------------------------- almost-orbit rate
-
-def test_almost_orbit_rate_exact(scaled_identity):
-    u = make_almost_orbit(scaled_identity, [2.0], 0.0, [1.0])
-    report = verify_almost_orbit_rate(u, k_max=2, horizon=10.0)
-    assert report.passed
-    assert all(r.worst_observed <= 1e-12 for r in report.rows)
-
-
-def test_almost_orbit_rate_perturbed(orbit_c1):
-    report = verify_almost_orbit_rate(orbit_c1, k_max=4, horizon=20.0)
-    assert report.passed
-    # beyond s = phi(4) = 9 the defect stays below 1/5
-    assert report.rows[4].certified_bound == 9.0
-    assert report.rows[4].worst_observed <= 0.2
-
-
-def test_promoted_hit_rate_passes_defect_check(orbit_c1):
-    # a rate certifying "some good s0 <= phi(k)" promotes to the full defect
-    # rate phi(2k+1), which the empirical check accepts
-    import dataclasses
-
-    from accretive_flows import promote_hit_rate
-
-    promoted = dataclasses.replace(orbit_c1, rate_phi=promote_hit_rate(orbit_c1.rate_phi))
-    report = verify_almost_orbit_rate(promoted, k_max=3, horizon=25.0)
-    assert report.passed
 
 
 def test_registry_laplacian_bound_matches_eigenvalue():

@@ -23,7 +23,6 @@ from accretive_flows import (
     pairing_dip_rate,
     projection_modulus_from_convexity,
     projection_modulus_identity,
-    promote_hit_rate,
     rate_from_spec,
     run_experiment,
     weak_from_full,
@@ -298,11 +297,6 @@ def test_negative_functional_output_is_refused(f_s):
     inp = dataclasses.replace(_xu_inputs_stub(phi=lambda k, f: -1), f_s=f_s)
     with pytest.raises(ValueError, match="negative"):
         zero_gap_metastability_bound(inp, 0, identity_rate)
-
-
-def test_promote_hit_rate_substitution():
-    assert promote_hit_rate(identity_rate)(3) == 7
-    assert promote_hit_rate(rate_from_spec({"pow": 2}))(1) == 9
 
 
 def test_thresholds_are_pure(orbit_c1):

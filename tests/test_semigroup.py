@@ -6,10 +6,8 @@ import pytest
 from accretive_flows import (
     ResourceLimitError,
     almost_orbit_bound,
-    almost_orbit_defect,
     cl_error_bound,
     dirichlet_laplacian_1d,
-    evaluate_oracle,
     evaluate_oracle_many,
     evaluate_semigroup,
     make_almost_orbit,
@@ -19,7 +17,6 @@ from accretive_flows import (
     norm,
     resolvent_power,
     steps_for_tolerance,
-    trajectory,
 )
 from accretive_flows.operators import AccretiveOperator
 
@@ -115,12 +112,12 @@ def test_evaluate_semigroup_validation(scaled_identity):
 
 def test_oracle_values():
     q = make_quartic_well()
-    assert evaluate_oracle(q, [0.3], 17.0) == pytest.approx([0.3])
-    assert evaluate_oracle(q, [2.0], 1.0) == pytest.approx([4.0 / 3.0], abs=1e-12)
-    assert evaluate_oracle(q, [-2.0], 1.0) == pytest.approx([-4.0 / 3.0], abs=1e-12)
+    assert q.exact_flow([0.3], 17.0) == pytest.approx([0.3])
+    assert q.exact_flow([2.0], 1.0) == pytest.approx([4.0 / 3.0], abs=1e-12)
+    assert q.exact_flow([-2.0], 1.0) == pytest.approx([-4.0 / 3.0], abs=1e-12)
     spd = make_spd_linear(np.eye(2))
     x = np.array([1.0, -2.0])
-    assert evaluate_oracle(spd, x, 0.7) == pytest.approx(math.exp(-0.7) * x)
+    assert spd.exact_flow(x, 0.7) == pytest.approx(math.exp(-0.7) * x)
 
 
 def test_oracle_many_matches_scalar():
@@ -129,7 +126,7 @@ def test_oracle_many_matches_scalar():
         ts = np.array([0.0, 0.3, 1.7, 9.0])
         many = evaluate_oracle_many(op, x, ts)
         for i, t in enumerate(ts):
-            assert many[i] == pytest.approx(evaluate_oracle(op, x, float(t)), abs=1e-12)
+            assert many[i] == pytest.approx(op.exact_flow(x, float(t)), abs=1e-12)
 
 
 def test_oracle_unsupported_operator():
@@ -138,7 +135,7 @@ def test_oracle_unsupported_operator():
         dim = 1
 
     with pytest.raises(ValueError, match="closed-form"):
-        evaluate_oracle(Opaque(), [1.0], 1.0)
+        evaluate_oracle_many(Opaque(), [1.0], [1.0])
 
 
 # -------------------------------------------------------- certificate checks
@@ -148,38 +145,10 @@ def test_euler_chain_certificate_sound(op):
     x = np.full(op.dim, 2.0)
     v = norm(op.value(x))
     for t in (0.5, 1.0, 2.0):
-        exact = evaluate_oracle(op, x, t)
+        exact = op.exact_flow(x, t)
         for n in (4, 16, 64, 256, 1024):
             approx = resolvent_power(op, x, t, n)
             assert norm(approx - exact) <= cl_error_bound(t, v, n)
-
-
-# ---------------------------------------------------------------- trajectory
-
-def test_trajectory_trivial_grid(scaled_identity):
-    traj = trajectory(scaled_identity, [2.0], [0.0], 0.1)
-    assert len(traj.samples) == 1
-    assert traj.samples[0].t == 0.0
-    assert traj.samples[0].point == pytest.approx([2.0])
-    assert traj.samples[0].err_bound == 0.0
-
-
-def test_trajectory_matches_closed_form(scaled_identity):
-    traj = trajectory(scaled_identity, [2.0], [0.0, 1.0, 2.0], 0.02)
-    expect = [2.0, 2.0 * math.exp(-1.0), 2.0 * math.exp(-2.0)]
-    for sample, ref in zip(traj.samples, expect):
-        assert abs(sample.point[0] - ref) <= sample.err_bound + 1e-12
-    errs = traj.err_bounds()
-    assert all(b >= a for a, b in zip(errs, errs[1:]))
-
-
-def test_trajectory_validates_grid(scaled_identity):
-    with pytest.raises(ValueError):
-        trajectory(scaled_identity, [1.0], [], 0.1)
-    with pytest.raises(ValueError):
-        trajectory(scaled_identity, [1.0], [0.0, 0.0], 0.1)
-    with pytest.raises(ValueError):
-        trajectory(scaled_identity, [1.0], [-1.0, 1.0], 0.1)
 
 
 # ------------------------------------------------------- semigroup properties
@@ -189,8 +158,8 @@ def test_semigroup_law_on_oracles(op):
     x = np.full(op.dim, 3.0)
     for t in (0.25, 0.5, 1.0, 2.0, 4.0):
         for s in (0.25, 0.5, 1.0, 2.0, 4.0):
-            lhs = evaluate_oracle(op, x, t + s)
-            rhs = evaluate_oracle(op, evaluate_oracle(op, x, s), t)
+            lhs = op.exact_flow(x, t + s)
+            rhs = op.exact_flow(op.exact_flow(x, s), t)
             assert norm(lhs - rhs) <= 1e-9
 
 
@@ -200,8 +169,8 @@ def test_flow_nonexpansive(op, rng):
         x = rng.uniform(-4, 4, size=op.dim)
         y = rng.uniform(-4, 4, size=op.dim)
         t = float(rng.uniform(0, 5))
-        fx = evaluate_oracle(op, x, t)
-        fy = evaluate_oracle(op, y, t)
+        fx = op.exact_flow(x, t)
+        fy = op.exact_flow(y, t)
         assert norm(fx - fy) <= norm(x - y) + 1e-12
 
 
@@ -215,9 +184,13 @@ def test_zero_gap_nonincreasing_along_flow(op):
 
 
 def test_zero_gap_nonincreasing_along_euler_trajectory(quartic):
-    traj = trajectory(quartic, [3.0], [0.5, 1.0, 1.5, 2.0, 3.0], 0.05)
-    gaps = [norm(s.point - quartic.zero_projection(s.point)) for s in traj.samples]
-    errs = traj.err_bounds()
+    # each point steps from the previous one, with additive certificates
+    pt, err, prev, gaps, errs = [3.0], 0.0, 0.0, [], []
+    for t in (0.5, 1.0, 1.5, 2.0, 3.0):
+        pt, step_err = evaluate_semigroup(quartic, pt, t - prev, 0.05)
+        err, prev = err + step_err, t
+        gaps.append(norm(pt - quartic.zero_projection(pt)))
+        errs.append(err)
     for i in range(len(gaps) - 1):
         assert gaps[i + 1] <= gaps[i] + 2 * (errs[i] + errs[i + 1])
 
@@ -228,7 +201,7 @@ def test_exact_orbit_is_almost_orbit(scaled_identity):
     u = make_almost_orbit(scaled_identity, [2.0], 0.0, [1.0])
     assert all(u.rate_phi(k) == 0 for k in range(6))
     for t in (0.0, 1.0, 3.5):
-        assert u.evaluate(t) == pytest.approx(evaluate_oracle(scaled_identity, [2.0], t))
+        assert u.evaluate(t) == pytest.approx(scaled_identity.exact_flow([2.0], t))
 
 
 ORBIT_CASES = [
@@ -245,7 +218,7 @@ def test_orbit_evaluate_many_is_flow_plus_decay(op, x, e):
     u = make_almost_orbit(op, x, c, e)
     ts = np.array([0.0, 0.1, 1.0, 2.75, 10.0, 250.0])
     want = np.stack([
-        evaluate_oracle(op, x, float(t)) + (c / (1.0 + t)) * np.asarray(e) for t in ts
+        op.exact_flow(x, float(t)) + (c / (1.0 + t)) * np.asarray(e) for t in ts
     ])
     np.testing.assert_allclose(u.evaluate_many(ts), want, rtol=1e-13, atol=1e-15)
 
@@ -277,11 +250,17 @@ def test_orbit_direction_validation(scaled_identity):
         make_almost_orbit(scaled_identity, [2.0], -1.0, [1.0])
 
 
+def _defect(u, s, t):
+    """||u(t+s) - S(t)u(s)||, the defect of u against the exact flow."""
+    return norm(u.evaluate(t + s) - u.operator.exact_flow(u.evaluate(s), t))
+
+
 def test_orbit_defect_triangle_bound(orbit_c1):
-    # defect is at most the sum of the two perturbation tails: 2c/(1+s)
-    for s in (0.0, 1.0, 2.0, 5.0):
+    # defect is at most the sum of the two perturbation tails: 2c/(1+s); at
+    # s = rate_phi(k) in {1, 3, 5, 7, 9} (k <= 4) that is the target 1/(k+1)
+    for s in (0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 9.0):
         for t in np.arange(0.0, 40.5, 0.5):
-            assert almost_orbit_defect(orbit_c1, s, float(t)) <= 2.0 / (1.0 + s) + 1e-9
+            assert _defect(orbit_c1, s, float(t)) <= 2.0 / (1.0 + s) + 1e-9
 
 
 def test_orbit_defect_matches_hand_formula(orbit_c1):
@@ -290,7 +269,7 @@ def test_orbit_defect_matches_hand_formula(orbit_c1):
     for s in (0.5, 1.0, 3.0):
         for t in (0.0, 0.7, 2.0, 10.0):
             expect = abs(1.0 / (1.0 + t + s) - math.exp(-t) / (1.0 + s))
-            assert almost_orbit_defect(orbit_c1, s, t) == pytest.approx(expect, abs=1e-12)
+            assert _defect(orbit_c1, s, t) == pytest.approx(expect, abs=1e-12)
 
 
 def test_orbit_bound_examples(scaled_identity, orbit_c1):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accretive_flows import as_point, eta_hilbert, norm, pairing
+from accretive_flows import as_point, eta_hilbert, norm
 
 # independently computed: 1 - sqrt(1 - 0.1^2/4) at 25 digits
 ETA_AT_0_1 = 0.001250782228091054210980884
@@ -13,17 +13,6 @@ def test_norm_examples():
     assert norm([0.0, 0.0, 0.0]) == 0.0
     assert norm([3.0, 4.0]) == 5.0
     assert norm([1.0, 1.0, 1.0, 1.0]) == 2.0
-
-
-def test_pairing_examples():
-    assert pairing([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert pairing([3.0, 4.0], [3.0, 4.0]) == 25.0
-    assert pairing([2.0, 1.0], [1.0, 3.0]) == 5.0
-
-
-def test_pairing_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        pairing([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def test_as_point_rejects_non_finite():
@@ -58,24 +47,9 @@ def test_eta_hilbert_monotone_on_grid():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-@st.composite
-def vector_pairs(draw):
-    d = draw(st.integers(min_value=1, max_value=8))
-    coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-    x = draw(st.lists(coords, min_size=d, max_size=d))
-    y = draw(st.lists(coords, min_size=d, max_size=d))
-    return np.array(x), np.array(y)
-
-
-@given(vector_pairs())
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                min_size=1, max_size=8))
 @settings(max_examples=200)
-def test_pairing_of_point_with_itself_is_squared_norm(pair):
-    x, _ = pair
-    assert pairing(x, x) == pytest.approx(norm(x) ** 2, rel=1e-12, abs=1e-12)
-
-
-@given(vector_pairs())
-@settings(max_examples=200)
-def test_cauchy_schwarz(pair):
-    x, y = pair
-    assert abs(pairing(y, x)) <= norm(y) * norm(x) + 1e-12 * (1 + norm(y) * norm(x))
+def test_norm_squared_is_the_inner_product(coords):
+    x = np.array(coords)
+    assert norm(x) ** 2 == pytest.approx(np.dot(x, x), rel=1e-12, abs=1e-12)
