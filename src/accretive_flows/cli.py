@@ -2,7 +2,7 @@
 
 Exit codes: 0 = all certificates PASS, 1 = at least one FAIL,
 2 = configuration error, 3 = resource limit (a grid, evaluation budget,
-threshold or iteration count beyond its hard cap).  Identical invocations
+operator size, threshold or iteration count beyond its hard cap).  Identical invocations
 (same config and seed) produce byte-identical JSON reports.
 """
 

@@ -28,6 +28,7 @@ from .moduli import (
     FullModulus,
     RateFn,
     check_full_modulus,
+    checked_number,
     full_modulus_from_dyadic,
     full_modulus_linear,
     full_modulus_min_eigenvalue,
@@ -92,8 +93,10 @@ FAIL = "FAIL"
 MAX_GRID_POINTS = 10**6
 #: verify_metastability refuses to evaluate more points than this per cell
 MAX_WINDOW_EVALS = 10**7
-#: d > 1 point sets up to this many rows get an exact diameter
+#: d > 1 point sets beyond this many rows are refused by the diameter
 EXACT_DIAMETER_ROWS = 4096
+#: configs may not ask for an operator on more dimensions than this
+MAX_OPERATOR_DIM = 1024
 #: rows per block of the pairwise diameter scan; small blocks stay in cache
 _DIAMETER_BLOCK = 32
 
@@ -174,19 +177,18 @@ class Report:
         }
 
 
-def _suffix_diameters(points: np.ndarray, starts: Sequence[int]) -> list[tuple[float, str]]:
+def _suffix_diameters(points: np.ndarray, starts: Sequence[int]) -> list[float]:
     """Largest pairwise distance among the rows of ``points[s:]`` for every
-    ``s`` in ``starts``, each with the method used.
+    ``s`` in ``starts``.
 
     All suffixes come from one pass.  1-d data is exact through a reversed
     running max and min.  For d > 1, each row's largest squared distance to
     a later row is computed block by block; a reversed running max of those
     gives every suffix exactly.  A d > 1 suffix longer than
-    ``EXACT_DIAMETER_ROWS`` gets the sound upper bound 2 * max distance to
-    its centroid instead.
+    ``EXACT_DIAMETER_ROWS`` raises ResourceLimitError.
     """
     n, d = points.shape
-    cuts = sorted({s for s in starts if s < n - 1 and (d == 1 or n - s <= EXACT_DIAMETER_ROWS)})
+    cuts = sorted({s for s in starts if s < n - 1})
     exact = {}
     if cuts and d == 1:
         col = points[:, 0]
@@ -194,19 +196,12 @@ def _suffix_diameters(points: np.ndarray, starts: Sequence[int]) -> list[tuple[f
         exact = dict(zip(cuts, spread.tolist()))
     elif cuts:
         m = cuts[0]
+        if n - m > EXACT_DIAMETER_ROWS:
+            raise ResourceLimitError(f"diameter of {n - m} points in R^{d} exceeds "
+                                     f"{EXACT_DIAMETER_ROWS} rows")
         sq = _suffix_reduce(np.maximum, _later_row_maxima(points[m:]), [c - m for c in cuts])
         exact = dict(zip(cuts, np.sqrt(sq).tolist()))
-    out = []
-    for s in starts:
-        if n - s <= 1:
-            out.append((0.0, "exact"))
-        elif s in exact:
-            out.append((exact[s], "exact"))
-        else:
-            suffix = points[s:]
-            r = float(np.linalg.norm(suffix - suffix.mean(axis=0), axis=1).max())
-            out.append((2.0 * r, "centroid-upper-bound"))
-    return out
+    return [exact.get(s, 0.0) for s in starts]
 
 
 def _suffix_reduce(ufunc: np.ufunc, values: np.ndarray, cuts: list[int]) -> np.ndarray:
@@ -242,9 +237,9 @@ def _later_row_maxima(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _diameter(points: np.ndarray) -> tuple[float, str]:
-    """Largest pairwise distance among row vectors, with the method used;
-    the one-suffix case of ``_suffix_diameters``."""
+def _diameter(points: np.ndarray) -> float:
+    """Largest pairwise distance among row vectors; the one-suffix case of
+    ``_suffix_diameters``."""
     return _suffix_diameters(points, [0])[0]
 
 
@@ -372,13 +367,13 @@ def _verify_pairwise(
               "err_bound": 0.0},
     )
     starts = [int(np.searchsorted(grid, thresholds[k] - 1e-9)) for k in ks]
-    for k, (extent, mode) in zip(ks, _suffix_diameters(points, starts)):
+    for k, extent in zip(ks, _suffix_diameters(points, starts)):
         target = 1.0 / (k + 1)
         status = _status(extent, target, tol)
         report.rows.append(ReportRow(
             k=k, counterfunction="-", certified_bound=float(thresholds[k]),
             worst_observed=extent, target=target, slack=tol, status=status,
-            detail={"pairs": mode},
+            detail={"pairs": "exact"},
         ))
         if status == FAIL:
             report.violations.append({"k": k, "threshold": thresholds[k], "extent": extent})
@@ -463,7 +458,7 @@ def verify_metastability(
                     raise ResourceLimitError(
                         f"metastability search at k={k} exceeded the evaluation budget"
                     )
-                extent, _ = _diameter(u.evaluate_many(ts))
+                extent = _diameter(u.evaluate_many(ts))
                 observed = min(observed, extent)
                 if extent <= target + tol:
                     witness = n
@@ -535,34 +530,91 @@ def certified_graph_sequence(
 
 # ---------------------------------------------------------------- registry
 
-def _require(spec: dict, key: str, field_name: str):
-    if key not in spec:
-        raise ConfigurationError(field_name, f"missing required key '{key}'")
-    return spec[key]
+def _named(field_name: str, convert, *args):
+    """``convert(*args)``; a ValueError or TypeError it raises becomes a
+    ConfigurationError that names ``field_name``, unless it names a field."""
+    try:
+        return convert(*args)
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(field_name, str(exc)) from exc
+
+
+def _checked(value, field_name: str, integer: bool = False, least=None, above=None):
+    """``checked_number`` of one config value; errors name ``field_name``."""
+    return _named(field_name, checked_number, value, integer, least, above)
+
+
+class _Fields:
+    """Checked reads of config object ``spec``; errors name ``<prefix>.<key>``.
+    An absent or null key reads as ``default`` (refused when None), and
+    ``done`` refuses the keys that nothing read."""
+
+    def __init__(self, spec, prefix: str):
+        if spec is not None and not isinstance(spec, dict):
+            raise ConfigurationError(prefix, "must be an object")
+        self.spec, self.prefix, self.read = spec or {}, prefix, set()
+
+    def name(self, key: str) -> str:
+        return f"{self.prefix}.{key}"
+
+    def get(self, key: str, default=None):
+        self.read.add(key)
+        value = self.spec.get(key)
+        if value is None and default is None:
+            raise ConfigurationError(self.name(key), "missing required key")
+        return default if value is None else value
+
+    def int(self, key: str, least=None, cap=None, default=None) -> int:
+        number = _checked(self.get(key, default), self.name(key), True, least)
+        if cap is not None and number > cap:
+            raise ResourceLimitError(f"{self.name(key)} {number} exceeds the cap {cap}")
+        return number
+
+    def real(self, key: str, least=None, above=None, default=None) -> float:
+        return _checked(self.get(key, default), self.name(key), False, least, above)
+
+    def choice(self, key: str, options, default=None) -> str:
+        value = self.get(key, default)
+        if not isinstance(value, str) or value not in options:
+            raise ConfigurationError(self.name(key), f"must be one of {', '.join(options)}")
+        return value
+
+    def rate(self, key: str) -> RateFn:
+        return _named(self.name(key), rate_from_spec, self.get(key))
+
+    def done(self) -> None:
+        for key in self.spec:
+            if key not in self.read:
+                raise ConfigurationError(self.name(key), "unknown field")
 
 
 # Each table maps a config ``kind`` to (its parameters, as list-instances
-# shows them for operators and moduli; its builder from the config object).
+# shows them for operators and moduli; its builder from the config object's
+# ``_Fields``).
 
 _OPERATORS = {
     "scaled-identity": ("alpha (>0), dim (>=1)", lambda s: make_scaled_identity(
-        float(s.get("alpha", 1.0)), int(s.get("dim", 1)))),
+        s.real("alpha", above=0, default=1.0),
+        s.int("dim", least=1, cap=MAX_OPERATOR_DIM, default=1))),
     "spd": ("matrix (symmetric positive definite)", lambda s: make_spd_linear(
-        np.asarray(_require(s, "matrix", "operator.matrix"), dtype=float))),
+        np.asarray(s.get("matrix"), dtype=float))),
     "spd-laplacian-1d": ("size (tridiagonal -1,2,-1)", lambda s: make_spd_linear(
-        dirichlet_laplacian_1d(int(_require(s, "size", "operator.size"))))),
+        dirichlet_laplacian_1d(s.int("size", least=1, cap=MAX_OPERATOR_DIM)))),
     "quartic-well": ("none (scalar, zero set [-1,1])", lambda s: make_quartic_well()),
 }
 
 _MODULI = {
     "strongly-accretive": ("a (integer >= ceil(1/alpha))", lambda s:
-        full_modulus_strongly_accretive(int(_require(s, "a", "modulus.a")))),
+        full_modulus_strongly_accretive(s.int("a", least=1))),
     "laplacian": ("Lambda (integer >= 1/lambda_min)", lambda s: full_modulus_min_eigenvalue(
-        int(_require(s, "Lambda", "modulus.Lambda")))),
+        s.int("Lambda", least=1))),
     "quartic-well": ("none", lambda s: full_modulus_quartic_well()),
     "linear-k": ("none (deliberately weak; counterexamples)", lambda s: full_modulus_linear()),
     "dyadic-scaled-identity": ("alpha, Z", lambda s: full_modulus_from_dyadic(
-        theta_scaled_identity(float(s.get("alpha", 1.0))), int(s.get("Z", 0)))),
+        theta_scaled_identity(s.real("alpha", above=0, default=1.0)),
+        s.int("Z", least=0, default=0))),
 }
 
 _OMEGAS = {
@@ -573,27 +625,18 @@ _OMEGAS = {
 #: metastability functionals; None stands for the orbit's own rate
 _FUNCTIONALS = {
     "orbit-rate": ("none", lambda s: None),
-    "from-rate": ("rate (rate expression)", lambda s: FromRateFunctional(
-        rate_from_spec(_require(s, "rate", "phi.rate")))),
-    "constant": ("value (integer >= 0)", lambda s: ConstantFunctional(
-        _at_least(0, _require(s, "value", "phi.value"), "phi.value"))),
+    "from-rate": ("rate (rate expression)", lambda s: FromRateFunctional(s.rate("rate"))),
+    "constant": ("value (integer >= 0)", lambda s: ConstantFunctional(s.int("value", least=0))),
 }
 
 
 def _build(table: dict, spec, field_name: str):
     """Build the ``table`` kind that config object ``spec`` names; errors
-    name ``field_name``."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError(field_name, "must be an object with a 'kind'")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in table:
-        raise ConfigurationError(f"{field_name}.kind", f"unknown {field_name} kind '{kind}'")
-    try:
-        return table[kind][1](spec)
-    except ConfigurationError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigurationError(field_name, str(exc)) from exc
+    name ``field_name`` or one of its keys."""
+    fields_ = _Fields(spec, field_name)
+    built = _named(field_name, table[fields_.choice("kind", table)][1], fields_)
+    fields_.done()
+    return built
 
 
 def build_operator(spec: dict) -> AccretiveOperator:
@@ -636,31 +679,12 @@ _INTEGRANDS = {
 }
 
 
-def _number(convert, value, field_name: str):
-    try:
-        number = convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(field_name, f"must be a number, got {value!r}") from exc
-    if isinstance(number, float) and not math.isfinite(number):
-        raise ConfigurationError(field_name, f"must be finite, got {value!r}")
-    if isinstance(value, float) and number != value:
-        raise ConfigurationError(field_name, f"must be an integer, got {value!r}")
-    return number
-
-
-def _at_least(minimum: int, value, field_name: str) -> int:
-    number = _number(int, value, field_name)
-    if number < minimum:
-        raise ConfigurationError(field_name, f"must be >= {minimum}, got {number}")
-    return number
-
-
-def _norm_bound(spec: dict, key: str, field_name: str, what: str, value: float) -> int:
-    """The integer bound ``spec[key]`` on the norm ``what`` = ``value``;
+def _norm_bound(spec: _Fields, key: str, what: str, value: float) -> int:
+    """The integer bound ``spec``'s ``key`` on the norm ``what`` = ``value``;
     it defaults to ceil(value) and is refused below ``value``."""
-    bound = _at_least(0, spec.get(key, math.ceil(value)), field_name)
+    bound = spec.int(key, least=0, default=math.ceil(value))
     if bound < value:
-        raise ConfigurationError(field_name, f"must be >= {what} = {value:g}, got {bound}")
+        raise ConfigurationError(spec.name(key), f"must be >= {what} = {value:g}, got {bound}")
     return bound
 
 
@@ -706,34 +730,22 @@ class ExperimentConfig:
             if f.type == "dict | None" and not isinstance(value, dict):
                 raise ConfigurationError(f.name, "must be an object")
             setattr(cfg, f.name, value)
-        try:
-            lo, hi = (int(v) for v in cfg.k_range)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError("k_range", "must be a [lo, hi] integer pair") from exc
-        if lo < 0 or hi < lo:
+        if not isinstance(cfg.k_range, (list, tuple)) or len(cfg.k_range) != 2:
+            raise ConfigurationError("k_range", "must be a [lo, hi] integer pair")
+        lo, hi = (_checked(v, "k_range", integer=True, least=0) for v in cfg.k_range)
+        if hi < lo:
             raise ConfigurationError("k_range", f"invalid range [{lo}, {hi}]")
         cfg.k_range = (lo, hi)
-        cfg.grid_step = _number(float, cfg.grid_step, "grid_step")
-        if cfg.grid_step <= 0:
-            raise ConfigurationError("grid_step", "must be positive")
-        cfg.horizon_pad = _number(float, cfg.horizon_pad, "horizon_pad")
-        if cfg.horizon_pad < 0:
-            raise ConfigurationError("horizon_pad", "must be nonnegative")
-        cfg.tolerance = _number(float, cfg.tolerance, "tolerance")
-        if cfg.tolerance <= 0:
-            raise ConfigurationError("tolerance", "must be positive")
+        cfg.grid_step = _checked(cfg.grid_step, "grid_step", above=0)
+        cfg.horizon_pad = _checked(cfg.horizon_pad, "horizon_pad", least=0)
+        cfg.tolerance = _checked(cfg.tolerance, "tolerance", above=0)
         if cfg.seed is not None:
-            cfg.seed = _number(int, cfg.seed, "seed")
+            cfg.seed = _checked(cfg.seed, "seed", integer=True)
         return cfg
 
     def to_dict(self) -> dict:
-        out = {}
-        for key in self._KNOWN:
-            val = getattr(self, key)
-            if val is None or (key == "counterfunctions" and not val):
-                continue
-            out[key] = _plain(val) if not isinstance(val, tuple) else list(val)
-        return out
+        return {key: _plain(val) for key in self._KNOWN
+                if (val := getattr(self, key)) is not None and (key != "counterfunctions" or val)}
 
 
 ExperimentConfig._KNOWN = tuple(f.name for f in fields(ExperimentConfig))
@@ -742,21 +754,16 @@ ExperimentConfig._KNOWN = tuple(f.name for f in fields(ExperimentConfig))
 def _cfg_point(cfg: ExperimentConfig, op: AccretiveOperator):
     if cfg.initial_point is None:
         raise ConfigurationError("initial_point", "required for this scenario")
-    try:
-        return op._check_dim(cfg.initial_point)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError("initial_point", str(exc)) from exc
+    return _named("initial_point", op._check_dim, cfg.initial_point)
 
 
 def _cfg_orbit(cfg: ExperimentConfig, op: AccretiveOperator) -> AlmostOrbit:
     x = _cfg_point(cfg, op)
-    spec = cfg.almost_orbit or {}
-    direction = spec.get("direction")
-    try:
-        c = float(spec.get("c", 0.0))
-        return make_almost_orbit(op, x, c, np.eye(op.dim)[0] if direction is None else direction)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError("almost_orbit", str(exc)) from exc
+    spec = _Fields(cfg.almost_orbit, "almost_orbit")
+    c = spec.real("c", least=0, default=0.0)
+    direction = spec.get("direction", default=np.eye(1, op.dim)[0])
+    spec.done()
+    return _named(spec.name("direction"), make_almost_orbit, op, x, c, direction)
 
 
 def _cfg_omega(cfg: ExperimentConfig):
@@ -793,17 +800,12 @@ def _nr(cfg: ExperimentConfig) -> Report:
 
 def _nr_closure(cfg: ExperimentConfig) -> Report:
     op, x, weak = _audit(cfg, _cfg_point)
-    spec = cfg.closure or {}
-    f_spec = _require(spec, "f", "closure.f")
-    try:
-        f = rate_from_spec(f_spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError("closure", str(exc)) from exc
-    p_norm = _at_least(0, spec.get("p_norm", math.ceil(norm(op.zero_witness()))),
-                       "closure.p_norm")
-    x_norm = _norm_bound(spec, "x_norm_bound", "closure.x_norm_bound", "||x||", norm(x))
-    x_dist = _norm_bound(spec, "x_dist_bound", "closure.x_dist_bound", "||x - Px||",
-                         norm(x - op.zero_projection(x)))
+    spec = _Fields(cfg.closure, "closure")
+    f = spec.rate("f")
+    p_norm = spec.int("p_norm", least=0, default=math.ceil(norm(op.zero_witness())))
+    x_norm = _norm_bound(spec, "x_norm_bound", "||x||", norm(x))
+    x_dist = _norm_bound(spec, "x_dist_bound", "||x - Px||", norm(x - op.zero_projection(x)))
+    spec.done()
     return _cauchy(cfg, op, x, closure_cauchy_threshold(weak, f, p_norm, x_norm, x_dist))
 
 
@@ -811,14 +813,12 @@ def _xu_meta(cfg: ExperimentConfig) -> Report:
     _, orbit, weak = _audit(cfg, _cfg_orbit)
     inputs = XuInputs.from_orbit(orbit, weak, omega=_cfg_omega(cfg),
                                  functional=_cfg_functional(cfg))
-    try:
-        counterfunctions = [rate_from_spec(s) for s in cfg.counterfunctions or ["id"]]
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError("counterfunctions", str(exc)) from exc
+    counterfunctions = _named("counterfunctions", lambda specs: [rate_from_spec(s) for s in specs],
+                              cfg.counterfunctions or ["id"])
     report = verify_metastability(orbit, lambda k, f: orbit_metastability_bound(inputs, k, f),
                                   _ks(cfg), counterfunctions, grid_step=cfg.grid_step,
                                   tol=cfg.tolerance)
-    report.provenance.update(_plain(inputs.provenance))
+    report.provenance.update(inputs.provenance)
     return report
 
 
@@ -829,40 +829,33 @@ def _xu_roc(cfg: ExperimentConfig) -> Report:
     inputs = XuInputs.from_orbit(orbit, weak, omega=_cfg_omega(cfg))
     return verify_orbit_cauchy(orbit, lambda k: almost_orbit_cauchy_threshold(inputs, k),
                                _ks(cfg), grid_step=cfg.grid_step, horizon_pad=cfg.horizon_pad,
-                               tol=cfg.tolerance, provenance=_plain(inputs.provenance))
+                               tol=cfg.tolerance, provenance=inputs.provenance)
 
 
 def _modulus_check(cfg: ExperimentConfig) -> Report:
     op = build_operator(cfg.operator)
     full = build_full_modulus(cfg.modulus)
-    K = _at_least(1, cfg.bound_K, "bound_K")
+    K = _checked(cfg.bound_K, "bound_K", integer=True, least=1)
     samples = cfg.samples or {"kind": "seeded", "count": 1000}
-    kind = samples.get("kind")
-    if kind == "seeded":
-        count = _at_least(1, samples.get("count", 1000), "samples.count")
-        if count > MAX_GRID_POINTS:
-            raise ResourceLimitError(f"samples.count {count} exceeds {MAX_GRID_POINTS} points")
-        sampling = {"n_samples": count, "seed": _at_least(0, cfg.seed or 0, "seed")}
-    elif kind == "grid":
-        lo, hi, step = (_number(float, samples.get(key), f"samples.{key}")
-                        for key in ("lo", "hi", "step"))
-        if step <= 0:
-            raise ConfigurationError("samples.step", f"must be positive, got {step}")
-        if hi < lo:
-            raise ConfigurationError("samples.hi", f"must be >= samples.lo = {lo}, got {hi}")
-        sampling = {"points": _capped_grid(lo, hi, step)}
+    spec = _Fields(samples, "samples")
+    if spec.choice("kind", ("seeded", "grid")) == "seeded":
+        sampling = {"n_samples": spec.int("count", least=1, cap=MAX_GRID_POINTS, default=1000),
+                    "seed": _checked(cfg.seed or 0, "seed", integer=True, least=0)}
     else:
-        raise ConfigurationError("samples.kind", f"unknown sampling kind '{kind}'")
+        lo = spec.real("lo")
+        sampling = {"points": _capped_grid(lo, spec.real("hi", least=lo),
+                                           spec.real("step", above=0))}
+    spec.done()
     inner = check_full_modulus(op, full, K, cfg.k_range[1], cfg.tolerance, **sampling)
     if not inner.n_pairs:
         raise ConfigurationError("samples", f"no graph pair within bound_K = {K}")
 
     report = Report(
         scenario="modulus-check",
-        violations=_plain(inner.violations),
+        violations=inner.violations,
         provenance={"operator": op.name, "modulus": inner.modulus, "K": K,
                     "n_pairs": inner.n_pairs},
-        grid={"k_range": list(cfg.k_range), "sampling": _plain(samples)},
+        grid={"k_range": list(cfg.k_range), "sampling": samples},
     )
     for entry in inner.per_k:
         k = entry["k"]
@@ -879,28 +872,20 @@ def _modulus_check(cfg: ExperimentConfig) -> Report:
 
 
 def _liminf_check(cfg: ExperimentConfig) -> Report:
-    spec = cfg.liminf or {}
-    form = spec.get("form")
+    spec = _Fields(cfg.liminf, "liminf")
+    form = spec.choice("form", ("integral", "flow-pairing"))
     hi = cfg.k_range[1]
-    n_max = _at_least(0, spec.get("n_max", 10), "liminf.n_max")
+    n_max = spec.int("n_max", least=0, default=10)
     if form == "integral":
-        name = spec.get("integrand", "inv-square")
-        if not isinstance(name, str) or name not in _INTEGRANDS:
-            raise ConfigurationError("liminf.integrand", f"unknown integrand '{name}'")
-        L = _number(float, spec.get("bound_L"), "liminf.bound_L")
-        if L < 0:
-            raise ConfigurationError("liminf.bound_L", f"must be >= 0, got {L}")
-        return verify_integrable_dip(
-            _INTEGRANDS[name], L, hi, n_max, grid_step=cfg.grid_step, tol=cfg.tolerance,
-        )
-    if form == "flow-pairing":
-        op = build_operator(cfg.operator)
-        x = _cfg_point(cfg, op)
-        b = _norm_bound(spec, "b", "liminf.b", "||x - Px||", norm(x - op.zero_projection(x)))
-        return verify_flow_pairing_dip(
-            op, x, b, hi, n_max, grid_step=cfg.grid_step, tol=cfg.tolerance,
-        )
-    raise ConfigurationError("liminf.form", "must be 'integral' or 'flow-pairing'")
+        f = _INTEGRANDS[spec.choice("integrand", _INTEGRANDS, default="inv-square")]
+        L = spec.real("bound_L", least=0)
+        spec.done()
+        return verify_integrable_dip(f, L, hi, n_max, grid_step=cfg.grid_step, tol=cfg.tolerance)
+    op = build_operator(cfg.operator)
+    x = _cfg_point(cfg, op)
+    b = _norm_bound(spec, "b", "||x - Px||", norm(x - op.zero_projection(x)))
+    spec.done()
+    return verify_flow_pairing_dip(op, x, b, hi, n_max, grid_step=cfg.grid_step, tol=cfg.tolerance)
 
 
 #: scenario -> (step returning the verifier's report, whether the report is

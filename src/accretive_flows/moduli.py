@@ -32,6 +32,7 @@ index k directly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -96,38 +97,48 @@ class RateExpr:
         return int(v)
 
 
+def checked_number(value, integer: bool = False, least=None, above=None):
+    """``value`` as an int (``integer``) or a float, with ``least <= value``
+    and ``above < value`` where given.  Bools, non-numbers, non-finite
+    numbers and, for ``integer``, fractions raise ValueError; ``2.0`` reads
+    as 2."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"must be a number, got {value!r}")
+    try:
+        number = int(value) if integer else float(value)
+    except (OverflowError, ValueError):  # int() of inf or NaN, float() of a huge int
+        number = math.nan
+    if number != number or abs(number) == math.inf:
+        raise ValueError(f"must be finite, got {value!r}")
+    if integer and number != value:
+        raise ValueError(f"must be an integer, got {value!r}")
+    if least is not None and number < least:
+        raise ValueError(f"must be >= {least}, got {number}")
+    if above is not None and number <= above:
+        raise ValueError(f"must be > {above}, got {number}")
+    return number
+
+
 def rate_from_spec(spec) -> RateExpr:
+    """The rate expression ``spec``; its numbers are integers >= 0 under
+    ``checked_number``."""
     if spec == "id":
-        return RateExpr(spec="id", label="id", fn=lambda n: n)
-    if isinstance(spec, dict) and len(spec) == 1:
-        ((kind, arg),) = spec.items()
-        if kind == "const":
-            c = int(arg)
-            if c < 0:
-                raise ValueError("const rate must be nonnegative")
-            return RateExpr(spec={"const": c}, label=f"const:{c}", fn=lambda n: c)
-        if kind == "affine":
-            a, b = (int(v) for v in arg)
-            if a < 0 or b < 0:
-                raise ValueError("affine rate coefficients must be nonnegative")
-            return RateExpr(
-                spec={"affine": [a, b]}, label=f"affine:{a}n+{b}", fn=lambda n: a * n + b
-            )
-        if kind == "pow":
-            p = int(arg)
-            if p < 0:
-                raise ValueError("pow exponent must be nonnegative")
-            return RateExpr(spec={"pow": p}, label=f"pow:{p}", fn=lambda n: n**p)
-        if kind == "table":
-            table = [int(v) for v in arg]
-            if not table or any(v < 0 for v in table):
-                raise ValueError("table rate must be a nonempty list of nonnegative ints")
-            tup = tuple(table)
-            return RateExpr(
-                spec={"table": list(tup)},
-                label=f"table:{list(tup)}",
-                fn=lambda n: tup[min(n, len(tup) - 1)],
-            )
+        return RateExpr("id", "id", lambda n: n)
+    ((kind, arg),) = spec.items() if isinstance(spec, dict) and len(spec) == 1 else (("", None),)
+    try:
+        if kind in ("const", "pow"):
+            v = checked_number(arg, integer=True, least=0)
+            return RateExpr({kind: v}, f"{kind}:{v}",
+                            (lambda n: v) if kind == "const" else (lambda n: n**v))
+        vs = ([checked_number(v, integer=True, least=0) for v in arg]
+              if isinstance(arg, list) else [])
+        if kind == "table" and vs:
+            return RateExpr({"table": vs}, f"table:{vs}", lambda n: vs[min(n, len(vs) - 1)])
+        if kind == "affine" and len(vs) == 2:
+            a, b = vs
+            return RateExpr({"affine": vs}, f"affine:{a}n+{b}", lambda n: a * n + b)
+    except ValueError as exc:
+        raise ValueError(f"rate expression {spec!r}: {exc}") from None
     raise ValueError(f"unrecognized rate expression: {spec!r}")
 
 

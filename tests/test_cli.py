@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from accretive_flows.cli import CSV_HEADER, parse_and_run, render_report
-from accretive_flows.harness import ExperimentConfig, run_experiment
+from accretive_flows.harness import MAX_OPERATOR_DIM, ExperimentConfig, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 NAN, INF = math.nan, math.inf
@@ -194,6 +194,27 @@ def _quartic_grid(**samples):
     ("nr_closure_scaled_identity.json", "certify-nr-closure",
      {"closure": {"f": "id", "p_norm": 0, "x_norm_bound": 2.5, "x_dist_bound": 2}},
      "closure.x_norm_bound"),
+    ("nr_scaled_identity.json", "certify-nr", {"k_range": [0, 2.5]}, "k_range"),
+    ("nr_scaled_identity.json", "certify-nr",
+     {"modulus": {"kind": "strongly-accretive", "a": 1.9}}, "modulus.a"),
+    # bools are not numbers
+    ("nr_scaled_identity.json", "certify-nr",
+     {"modulus": {"kind": "strongly-accretive", "a": True}}, "modulus.a"),
+    ("nr_scaled_identity.json", "certify-nr",
+     {"operator": {"kind": "scaled-identity", "alpha": 1.0, "dim": 1.5}}, "operator.dim"),
+    ("nr_scaled_identity.json", "certify-nr",
+     {"operator": {"kind": "scaled-identity", "alpha": NAN, "dim": 1}}, "operator.alpha"),
+    ("xu_roc_scaled_identity.json", "certify-xu-roc",
+     {"almost_orbit": {"c": INF, "direction": [1.0]}}, "almost_orbit.c"),
+    # fractional numbers inside rate expressions
+    ("nr_closure_scaled_identity.json", "certify-nr-closure",
+     {"closure": {"f": {"affine": [1.5, 0]}, "p_norm": 0, "x_norm_bound": 2, "x_dist_bound": 2}},
+     "closure.f"),
+    ("xu_meta_scaled_identity.json", "certify-xu-meta",
+     {"counterfunctions": [{"pow": 1.5}]}, "counterfunctions"),
+    # a nested key that nothing reads
+    ("nr_scaled_identity.json", "certify-nr",
+     {"operator": {"kind": "scaled-identity", "alpah": 4.0, "dim": 1}}, "operator.alpah"),
 ])
 def test_malformed_config_exits_two_and_names_the_field(
     name, command, overrides, field, tmp_path, capsys
@@ -211,6 +232,18 @@ def test_resource_limit_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "resource limit" in err
     assert "grid points" in err
+
+
+@pytest.mark.parametrize("operator", [
+    {"kind": "spd-laplacian-1d", "size": 10**6},
+    {"kind": "spd-laplacian-1d", "size": MAX_OPERATOR_DIM + 1},
+    {"kind": "scaled-identity", "alpha": 1.0, "dim": 10**6},
+])
+def test_operator_size_cap_exits_three(operator, tmp_path, capsys):
+    # refused before the operator is built, so nothing is allocated
+    cfg = _write(tmp_path, "big.json", _nr_config(operator=operator))
+    assert parse_and_run(["certify-nr", "--config", str(cfg)]) == 3
+    assert f"exceeds the cap {MAX_OPERATOR_DIM}" in capsys.readouterr().err
 
 
 def test_scenario_subcommand_mismatch(tmp_path, capsys):

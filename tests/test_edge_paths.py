@@ -38,41 +38,35 @@ def _brute_diameter(points):
 def test_diameter_exact_matches_brute_force(rng):
     for d in (1, 2, 3):
         pts = rng.normal(size=(60, d))
-        got, mode = _diameter(pts)
-        assert mode == "exact"
-        assert got == pytest.approx(_brute_diameter(pts), abs=1e-12)
+        assert _diameter(pts) == pytest.approx(_brute_diameter(pts), abs=1e-12)
 
 
-def test_diameter_upper_bound_mode_is_sound(rng):
-    pts = rng.normal(size=(5000, 2))
-    got, mode = _diameter(pts)
-    assert mode == "centroid-upper-bound"
-    assert got >= _brute_diameter(pts[::25]) - 1e-12  # bound dominates a subsample
+def test_diameter_refuses_d_above_one_beyond_exact_limit(rng):
+    with pytest.raises(ResourceLimitError, match=r"5000 points in R\^2 exceeds 4096 rows"):
+        _diameter(rng.normal(size=(5000, 2)))
+    col = rng.normal(size=(5000, 1))
+    assert _diameter(col) == float(col.max() - col.min())  # 1-d stays exact at any length
 
 
 def test_diameter_degenerate_cases():
-    assert _diameter(np.zeros((1, 3))) == (0.0, "exact")
-    assert _diameter(np.zeros((0, 2)))[0] == 0.0
-    assert _diameter(np.zeros((0, 1))) == (0.0, "exact")
+    assert _diameter(np.zeros((1, 3))) == 0.0
+    assert _diameter(np.zeros((0, 2))) == 0.0
+    assert _diameter(np.zeros((0, 1))) == 0.0
 
 
 def _diameter_reference(points):
     # the per-suffix formula _suffix_diameters replaced, kept as the oracle
     n, d = points.shape
     if n <= 1:
-        return 0.0, "exact"
+        return 0.0
     if d == 1:
         col = points[:, 0]
-        return float(col.max() - col.min()), "exact"
-    if n <= 4096:
-        best = 0.0
-        for i in range(0, n, 512):
-            diff = points[i:i + 512, None, :] - points[None, :, :]
-            best = max(best, float(np.sqrt((diff ** 2).sum(-1)).max()))
-        return best, "exact"
-    centroid = points.mean(axis=0)
-    r = float(np.linalg.norm(points - centroid, axis=1).max())
-    return 2.0 * r, "centroid-upper-bound"
+        return float(col.max() - col.min())
+    best = 0.0
+    for i in range(0, n, 512):
+        diff = points[i:i + 512, None, :] - points[None, :, :]
+        best = max(best, float(np.sqrt((diff ** 2).sum(-1)).max()))
+    return best
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 16])
@@ -86,18 +80,20 @@ def test_suffix_diameters_match_reference_bit_for_bit(rng, d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_suffix_diameters_mode_switch_at_exact_limit(rng, d):
+def test_suffix_diameters_refuse_beyond_exact_limit(rng, d):
     assert EXACT_DIAMETER_ROWS == 4096
     n = 4100
     pts = rng.normal(size=(n, d))
-    # suffix lengths 4100, 4097, 4096, 4095, then the short end
-    starts = [0, 3, 4, 5, n - 1, n]
-    got = _suffix_diameters(pts, starts)
-    want = [_diameter_reference(pts[s:]) for s in starts]
-    assert got == want
-    modes = [mode for _, mode in got]
-    assert modes[:2] == ["centroid-upper-bound" if d > 1 else "exact"] * 2
-    assert modes[2:] == ["exact"] * 4
+    # suffix lengths 4096 (the limit), 4095, then the short end: exact
+    at_limit = [4, 5, n - 1, n]
+    assert _suffix_diameters(pts, at_limit) == [_diameter_reference(pts[s:]) for s in at_limit]
+    # one suffix of 4097 rows: refused for d > 1, exact for d = 1
+    beyond = [3, 4, 5]
+    if d > 1:
+        with pytest.raises(ResourceLimitError, match="4097 points"):
+            _suffix_diameters(pts, beyond)
+    else:
+        assert _suffix_diameters(pts, beyond) == [_diameter_reference(pts[s:]) for s in beyond]
 
 
 # ------------------------------------------------- flow evaluation, multi-d
