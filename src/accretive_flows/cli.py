@@ -2,8 +2,9 @@
 
 Exit codes: 0 = all certificates PASS, 1 = at least one FAIL,
 2 = configuration error, 3 = resource limit (a grid, evaluation budget,
-operator size, threshold or iteration count beyond its hard cap).  Identical invocations
-(same config and seed) produce byte-identical JSON reports.
+operator size, k range, threshold or iteration count beyond its hard cap).
+Identical invocations (same config and seed) produce byte-identical JSON
+reports.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def render_report(report: Report, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        return report.to_json()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields, asdict
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,12 +92,15 @@ FAIL = "FAIL"
 
 #: pairwise verifiers and modulus-check sampling refuse grids beyond this
 MAX_GRID_POINTS = 10**6
-#: verify_metastability refuses to evaluate more points than this per cell
+#: verify_metastability refuses to evaluate more points than this per cell,
+#: and the dip verifiers more than this in all
 MAX_WINDOW_EVALS = 10**7
 #: d > 1 point sets beyond this many rows are refused by the diameter
 EXACT_DIAMETER_ROWS = 4096
 #: configs may not ask for an operator on more dimensions than this
 MAX_OPERATOR_DIM = 1024
+#: configs may not ask for a k_range that ends above this
+MAX_K = 10_000
 #: rows per block of the pairwise diameter scan; small blocks stay in cache
 _DIAMETER_BLOCK = 32
 
@@ -124,6 +128,59 @@ def _plain(obj):
     if obj is None or isinstance(obj, (str, bool)):
         return obj
     return str(obj)
+
+
+def _json_float(number: float) -> str:
+    if math.isfinite(number):
+        return float.__repr__(number)
+    return "NaN" if number != number else "Infinity" if number > 0 else "-Infinity"
+
+
+#: writers of the exact types most report values have; a bool is not one of
+#: them, and writes as an int, as ``_plain`` converts it
+_JSON_LEAVES = {str: _json_string, float: _json_float, int: int.__repr__,
+                type(None): lambda _: "null"}
+
+
+def _json_text(obj, pad: str, out: list) -> None:
+    """Append ``obj`` to ``out`` as ``json.dumps(_plain(obj), sort_keys=True,
+    indent=2)`` writes it at the nesting whose line break and indent is
+    ``pad``; values convert as in ``_plain``, so a bool writes as 0 or 1."""
+    leaf = _JSON_LEAVES.get(type(obj))
+    if leaf is not None:
+        out.append(leaf(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            out += (sep, _json_string(key), ": ")
+            _json_text(value, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if isinstance(obj, np.ndarray):
+            obj = obj.tolist()
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _json_text(value, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(obj, str):
+        out.append(_json_string(obj))
+    elif isinstance(obj, (np.floating, float)):
+        out.append(_json_float(float(obj)))
+    elif isinstance(obj, (np.integer, int)):
+        out.append(int.__repr__(int(obj)))
+    else:
+        out.append(_json_string(str(obj)))
 
 
 @dataclass
@@ -160,21 +217,50 @@ class Report:
     def passed(self) -> bool:
         return not self.violations and all(r.status != FAIL for r in self.rows)
 
+    def _summary(self) -> dict:
+        return {
+            "failures": sum(1 for r in self.rows if r.status == FAIL),
+            "pass_with_slack": sum(1 for r in self.rows if r.status == PASS_WITH_SLACK),
+            "rows": len(self.rows),
+        }
+
     def to_dict(self) -> dict:
-        rows = [_plain(asdict(r)) for r in self.rows]
-        n_slack = sum(1 for r in self.rows if r.status == PASS_WITH_SLACK)
-        n_fail = sum(1 for r in self.rows if r.status == FAIL)
         return {
             "scenario": self.scenario,
             "passed": self.passed,
             "seed": self.seed,
             "grid": _plain(self.grid),
             "provenance": _plain(self.provenance),
-            "rows": rows,
+            "rows": [_plain(asdict(r)) for r in self.rows],
             "violations": _plain(self.violations),
-            "summary": {"rows": len(rows), "failures": n_fail, "pass_with_slack": n_slack},
+            "summary": self._summary(),
             "config": _plain(self.config) if self.config is not None else None,
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\\n"``,
+        written in one pass over the fields without building the dict."""
+        out, sep = [], "{\n  "
+        # top-level keys in sorted order; "passed" is the one JSON bool
+        for key, value in (
+            ("config", self.config),
+            ("grid", self.grid),
+            ("passed", self.passed),
+            ("provenance", self.provenance),
+            ("rows", [vars(r) for r in self.rows]),
+            ("scenario", self.scenario),
+            ("seed", self.seed),
+            ("summary", self._summary()),
+            ("violations", self.violations),
+        ):
+            out += (sep, f'"{key}": ')
+            if key == "passed":
+                out.append("true" if value else "false")
+            else:
+                _json_text(value, "\n  ", out)
+            sep = ",\n  "
+        out.append("\n}\n")
+        return "".join(out)
 
 
 def _suffix_diameters(points: np.ndarray, starts: Sequence[int]) -> list[float]:
@@ -243,11 +329,16 @@ def _diameter(points: np.ndarray) -> float:
     return _suffix_diameters(points, [0])[0]
 
 
+def _grid_length(lo: float, hi: float, step: float) -> int:
+    """Length of ``np.arange(lo, hi + step / 2, step)``, by np.arange's own
+    formula."""
+    return math.ceil((hi + step / 2 - lo) / step)
+
+
 def _capped_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """``np.arange(lo, hi + step / 2, step)``, refused before it is allocated
     when it would hold more than ``MAX_GRID_POINTS`` points."""
-    # np.arange's own length formula
-    n_points = math.ceil((hi + step / 2 - lo) / step)
+    n_points = _grid_length(lo, hi, step)
     if n_points > MAX_GRID_POINTS:
         raise ResourceLimitError(
             f"grid from {lo} to {hi} at step {step} needs {n_points} grid points"
@@ -267,27 +358,57 @@ def _window_grid(lo: float, hi: float, step: float) -> np.ndarray:
 def _dip_windows(
     report: Report,
     width: Callable[[int], int],
-    best_in: Callable[[np.ndarray], float],
+    curve: Callable[[np.ndarray], np.ndarray],
     k_max: int,
     n_max: int,
     grid_step: float,
     tol: float,
 ) -> Report:
-    """For every k <= k_max and n <= n_max, the smallest value ``best_in``
-    finds on the grid of the window [n, width(k) + n] must be at most
-    1/(k+1) + tol; one row per k, one violation per failing window."""
-    for k in range(k_max + 1):
+    """For every k <= k_max and n <= n_max, the smallest value of ``curve``
+    on the grid of the window [n, width(k) + n] must be at most
+    1/(k+1) + tol; one row per k, one violation per failing window.
+
+    A window's grid is ``np.arange(n, width(k) + n + step/2, step)`` plus
+    its end point when the last grid point falls short of it.  np.arange
+    fills n + i*delta, with delta taken from n and the step alone, so for a
+    fixed n every window's arange grid is bit for bit a prefix of the widest
+    window's, of the length np.arange's formula gives.  So ``curve`` runs
+    once per n, on the widest grid plus the missed end points, and a running
+    minimum read at each window's length gives its smallest value.  Before
+    any grid is built, n_max + 1 times the widest grid plus every end point
+    is charged against ``MAX_WINDOW_EVALS``.
+    """
+    ks = range(k_max + 1)
+    widths = [width(k) for k in ks]
+    limits = np.array([1.0 / (k + 1) + tol for k in ks])
+    widest = max(widths)
+    # every window may add its end point to the widest grid
+    evals = (n_max + 1) * (_grid_length(0, widest, grid_step) + k_max + 1)
+    if evals > MAX_WINDOW_EVALS:
+        raise ResourceLimitError(
+            f"dip windows up to n = {n_max} need {evals} curve evaluations, "
+            f"beyond the budget {MAX_WINDOW_EVALS}"
+        )
+    worst = np.zeros(k_max + 1)
+    failing = [[] for _ in ks]
+    for n in range(n_max + 1):
+        grid = _capped_grid(n, n + widest, grid_step)
+        ends = [n + w for w in widths]
+        last = [_grid_length(n, end, grid_step) - 1 for end in ends]
+        missed = [k for k in ks if grid[last[k]] < ends[k] - 1e-12]
+        values = curve(np.concatenate([grid, [ends[k] for k in missed]]))
+        best = np.minimum.accumulate(values[:grid.size])[last]
+        best[missed] = np.minimum(best[missed], values[grid.size:])
+        np.maximum(worst, best, out=worst)
+        for k in np.flatnonzero(best > limits).tolist():
+            failing[k].append({"k": k, "n": n, "best": float(best[k])})
+    for k, observed in zip(ks, worst.tolist()):
         target = 1.0 / (k + 1)
-        worst = 0.0
-        for n in range(n_max + 1):
-            best = best_in(_window_grid(n, width(k) + n, grid_step))
-            worst = max(worst, best)
-            if best > target + tol:
-                report.violations.append({"k": k, "n": n, "best": best})
+        report.violations += failing[k]
         report.rows.append(ReportRow(
-            k=k, counterfunction="-", certified_bound=float(width(k)),
-            worst_observed=worst, target=target, slack=tol,
-            status=_status(worst, target, tol),
+            k=k, counterfunction="-", certified_bound=float(widths[k]),
+            worst_observed=observed, target=target, slack=tol,
+            status=_status(observed, target, tol),
         ))
     return report
 
@@ -309,7 +430,7 @@ def verify_integrable_dip(
         grid={"grid_step": grid_step, "k_max": k_max, "n_max": n_max},
     )
     return _dip_windows(report, lambda k: width_mult * (k + 1),
-                        lambda ts: float(min(map(f, ts.tolist()))),
+                        lambda ts: np.fromiter(map(f, ts.tolist()), float, ts.size),
                         k_max, n_max, grid_step, tol)
 
 
@@ -332,13 +453,11 @@ def verify_flow_pairing_dip(
         grid={"grid_step": grid_step, "k_max": k_max, "n_max": n_max},
     )
 
-    def least_pairing(ts: np.ndarray) -> float:
+    def pairing(ts: np.ndarray) -> np.ndarray:
         W = evaluate_oracle_many(op, x, ts)
-        V = op.value_many(W)
-        J = W - op.zero_projection_many(W)
-        return float(np.einsum("ij,ij->i", V, J).min())
+        return np.einsum("ij,ij->i", op.value_many(W), W - op.zero_projection_many(W))
 
-    return _dip_windows(report, pairing_dip_rate(b), least_pairing, k_max, n_max, grid_step, tol)
+    return _dip_windows(report, pairing_dip_rate(b), pairing, k_max, n_max, grid_step, tol)
 
 
 # --------------------------------------------------------- Cauchy verifiers
@@ -546,6 +665,14 @@ def _checked(value, field_name: str, integer: bool = False, least=None, above=No
     return _named(field_name, checked_number, value, integer, least, above)
 
 
+def _checked_numbers(value, field_name: str):
+    """A config number, or nested lists of them, each entry read by
+    ``checked_number``; errors name the entry, e.g. ``operator.matrix[1][0]``."""
+    if isinstance(value, list):
+        return [_checked_numbers(v, f"{field_name}[{i}]") for i, v in enumerate(value)]
+    return _checked(value, field_name)
+
+
 class _Fields:
     """Checked reads of config object ``spec``; errors name ``<prefix>.<key>``.
     An absent or null key reads as ``default`` (refused when None), and
@@ -598,8 +725,8 @@ _OPERATORS = {
     "scaled-identity": ("alpha (>0), dim (>=1)", lambda s: make_scaled_identity(
         s.real("alpha", above=0, default=1.0),
         s.int("dim", least=1, cap=MAX_OPERATOR_DIM, default=1))),
-    "spd": ("matrix (symmetric positive definite)", lambda s: make_spd_linear(
-        np.asarray(s.get("matrix"), dtype=float))),
+    "spd": ("matrix (symmetric positive definite)", lambda s: _named(
+        s.name("matrix"), make_spd_linear, _checked_numbers(s.get("matrix"), s.name("matrix")))),
     "spd-laplacian-1d": ("size (tridiagonal -1,2,-1)", lambda s: make_spd_linear(
         dirichlet_laplacian_1d(s.int("size", least=1, cap=MAX_OPERATOR_DIM)))),
     "quartic-well": ("none (scalar, zero set [-1,1])", lambda s: make_quartic_well()),
@@ -735,6 +862,8 @@ class ExperimentConfig:
         lo, hi = (_checked(v, "k_range", integer=True, least=0) for v in cfg.k_range)
         if hi < lo:
             raise ConfigurationError("k_range", f"invalid range [{lo}, {hi}]")
+        if hi > MAX_K:
+            raise ResourceLimitError(f"k_range ends above the cap {MAX_K}")
         cfg.k_range = (lo, hi)
         cfg.grid_step = _checked(cfg.grid_step, "grid_step", above=0)
         cfg.horizon_pad = _checked(cfg.horizon_pad, "horizon_pad", least=0)
@@ -754,14 +883,16 @@ ExperimentConfig._KNOWN = tuple(f.name for f in fields(ExperimentConfig))
 def _cfg_point(cfg: ExperimentConfig, op: AccretiveOperator):
     if cfg.initial_point is None:
         raise ConfigurationError("initial_point", "required for this scenario")
-    return _named("initial_point", op._check_dim, cfg.initial_point)
+    return _named("initial_point", op._check_dim,
+                  _checked_numbers(cfg.initial_point, "initial_point"))
 
 
 def _cfg_orbit(cfg: ExperimentConfig, op: AccretiveOperator) -> AlmostOrbit:
     x = _cfg_point(cfg, op)
     spec = _Fields(cfg.almost_orbit, "almost_orbit")
     c = spec.real("c", least=0, default=0.0)
-    direction = spec.get("direction", default=np.eye(1, op.dim)[0])
+    direction = _checked_numbers(spec.get("direction", default=[1.0] + [0.0] * (op.dim - 1)),
+                                 spec.name("direction"))
     spec.done()
     return _named(spec.name("direction"), make_almost_orbit, op, x, c, direction)
 

@@ -1,11 +1,21 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from accretive_flows.cli import CSV_HEADER, parse_and_run, render_report
-from accretive_flows.harness import MAX_OPERATOR_DIM, ExperimentConfig, run_experiment
+from accretive_flows.errors import ResourceLimitError
+from accretive_flows.harness import (
+    MAX_K,
+    MAX_OPERATOR_DIM,
+    ExperimentConfig,
+    Report,
+    ReportRow,
+    run_experiment,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 NAN, INF = math.nan, math.inf
@@ -215,6 +225,25 @@ def _quartic_grid(**samples):
     # a nested key that nothing reads
     ("nr_scaled_identity.json", "certify-nr",
      {"operator": {"kind": "scaled-identity", "alpah": 4.0, "dim": 1}}, "operator.alpah"),
+    # vector fields: every entry is a number, and errors name the entry
+    ("nr_scaled_identity.json", "certify-nr", {"initial_point": [True]}, "initial_point[0]"),
+    ("nr_scaled_identity.json", "certify-nr", {"initial_point": [NAN]}, "initial_point[0]"),
+    ("nr_scaled_identity.json", "certify-nr", {"initial_point": ["2.0"]}, "initial_point[0]"),
+    ("xu_roc_scaled_identity.json", "certify-xu-roc",
+     {"almost_orbit": {"c": 1.0, "direction": [True]}}, "almost_orbit.direction[0]"),
+    ("nr_scaled_identity.json", "certify-nr",
+     {"operator": {"kind": "spd", "matrix": [[2.0, 0.0], [True, 2.0]]},
+      "initial_point": [1.0, 0.0]}, "operator.matrix[1][0]"),
+    ("nr_scaled_identity.json", "certify-nr",
+     {"operator": {"kind": "spd", "matrix": [[2.0, INF], [0.0, 2.0]]},
+      "initial_point": [1.0, 0.0]}, "operator.matrix[0][1]"),
+    # a malformed matrix names the matrix, not the operator
+    ("nr_scaled_identity.json", "certify-nr",
+     {"operator": {"kind": "spd", "matrix": [[2.0, 0.0], [0.0]]},
+      "initial_point": [1.0, 0.0]}, "operator.matrix"),
+    ("nr_scaled_identity.json", "certify-nr",
+     {"operator": {"kind": "spd", "matrix": [[2.0, 1.0], [0.0, 2.0]]},
+      "initial_point": [1.0, 0.0]}, "operator.matrix"),
 ])
 def test_malformed_config_exits_two_and_names_the_field(
     name, command, overrides, field, tmp_path, capsys
@@ -223,6 +252,20 @@ def test_malformed_config_exits_two_and_names_the_field(
     cfg = _write(tmp_path, "bad.json", {**raw, **overrides})
     assert parse_and_run([command, "--config", str(cfg)]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hi", [10**400, MAX_K + 1])
+def test_k_range_cap_exits_three(hi, tmp_path, capsys):
+    # refused while the config is read, before anything iterates over k
+    cfg = _write(tmp_path, "big.json", _nr_config(k_range=[0, hi]))
+    assert parse_and_run(["certify-nr", "--config", str(cfg)]) == 3
+    assert f"k_range ends above the cap {MAX_K}" in capsys.readouterr().err
+
+
+def test_k_range_cap_is_inclusive():
+    assert ExperimentConfig.from_dict(_nr_config(k_range=[0, MAX_K])).k_range == (0, MAX_K)
+    with pytest.raises(ResourceLimitError):
+        ExperimentConfig.from_dict(_nr_config(k_range=[MAX_K + 1, MAX_K + 1]))
 
 
 def test_resource_limit_exits_three(tmp_path, capsys):
@@ -273,6 +316,40 @@ def test_json_round_trip():
     report = run_experiment(ExperimentConfig.from_dict(_nr_config()))
     text = render_report(report, "json")
     assert json.loads(text) == report.to_dict()
+
+
+def _dumped(report):
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_json_report_is_the_json_dumps_layout(name):
+    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    report = run_experiment(ExperimentConfig.from_dict(raw))
+    assert render_report(report, "json") == _dumped(report)
+
+
+def test_json_report_converts_values_as_the_dict_view():
+    row = ReportRow(
+        k=np.int64(3), counterfunction='say "hi" \\ to caf\u00e9 \u2713\n',
+        certified_bound=np.float64(2.5), worst_observed=math.nan, target=math.inf,
+        slack=-math.inf, status="PASS",
+        detail={
+            "flag": np.bool_(True), "bool": True, "pair": (1, 2.0), "f32": np.float32(0.1),
+            "array": np.array([[1.5, -0.0], [3.0, 1e300]]), "ints": np.arange(3),
+            "empty": [], "empty_tuple": (), "empty_dict": {}, "empty_array": np.zeros(0),
+            7: "int key", 1: "shadowed", "1": "last wins", "fraction": Fraction(1, 3),
+            "nested": {"b": [{"z": None, "a": -1}], "a": "\x00\t\u00ff"},
+        },
+    )
+    report = Report(scenario="synthetic",
+                    rows=[row, ReportRow(0, "-", 1.0, 0.5, 1.0, 0.0, "FAIL")],
+                    violations=[{"k": np.int64(1), "x": np.array([-1.25])}],
+                    provenance={"operator": "\"quoted\""}, grid={}, seed=7,
+                    config={"k_range": (0, 3)})
+    assert render_report(report, "json") == _dumped(report)
+    empty = Report(scenario="empty")
+    assert render_report(empty, "json") == _dumped(empty)
 
 
 def test_seed_override_and_env_fallback(tmp_path, monkeypatch):

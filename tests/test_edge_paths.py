@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from accretive_flows.cli import parse_and_run, render_report
 from accretive_flows.harness import EXACT_DIAMETER_ROWS, _diameter, _suffix_diameters
 
 from accretivity import check_accretive
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ----------------------------------------------------------- diameter helper
@@ -141,6 +144,31 @@ def test_modulus_check_sampling_cap_refuses_before_allocating(samples, message):
         "modulus": {"kind": "quartic-well"}, "bound_K": 501, "k_range": [0, 5],
         "samples": samples,
     })
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=message):
+            run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name, overrides, message", [
+    # 42 / 1e-6 is 42 M points per window start: about 336 MB as a float64 grid
+    ("liminf_integral.json", {"grid_step": 1e-6}, "need 882000462 curve evaluations"),
+    ("liminf_integral.json", {"liminf": {"form": "integral", "bound_L": 1.0, "n_max": 10**9}},
+     "need 190000000190 curve evaluations"),
+    ("liminf_flow_quartic.json", {"liminf": {"form": "flow-pairing", "b": 2, "n_max": 10**9}},
+     "need 144000000144 curve evaluations"),
+    # within the evaluation budget, but one grid beyond MAX_GRID_POINTS
+    ("liminf_integral.json",
+     {"grid_step": 1e-5, "liminf": {"form": "integral", "bound_L": 1.0, "n_max": 0}},
+     "needs 4200001 grid points"),
+])
+def test_dip_window_caps_refuse_before_allocating(name, overrides, message):
+    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    cfg = ExperimentConfig.from_dict({**raw, **overrides})
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match=message):

@@ -1,6 +1,8 @@
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from accretive_flows import (
@@ -12,10 +14,14 @@ from accretive_flows import (
     certified_graph_sequence,
     check_simple_modulus,
     check_weak_modulus,
+    dirichlet_laplacian_1d,
     empirical_rate_of_convergence,
     full_modulus_strongly_accretive,
     identity_rate,
     make_almost_orbit,
+    make_quartic_well,
+    make_scaled_identity,
+    make_spd_linear,
     orbit_cauchy_threshold,
     orbit_metastability_bound,
     rate_from_spec,
@@ -29,7 +35,10 @@ from accretive_flows import (
     verify_orbit_cauchy,
     weak_from_full,
 )
-from accretive_flows.harness import FAIL, PASS, PASS_WITH_SLACK, _status
+from accretive_flows import harness
+from accretive_flows.harness import FAIL, PASS, PASS_WITH_SLACK, Report, ReportRow, _status
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _weak_sacc():
@@ -88,6 +97,125 @@ def test_flow_pairing_dip_from_zero(scaled_identity):
     report = verify_flow_pairing_dip(scaled_identity, [0.0], b=0, k_max=3, n_max=3)
     assert report.passed
     assert all(r.worst_observed == 0.0 for r in report.rows)
+
+
+def _dip_windows_reference(width, best_in, k_max, n_max, grid_step, tol):
+    # the per-window loop _dip_windows replaced, kept as the oracle
+    rows, violations = [], []
+    for k in range(k_max + 1):
+        target = 1.0 / (k + 1)
+        worst = 0.0
+        for n in range(n_max + 1):
+            hi = width(k) + n
+            ts = np.arange(n, hi + grid_step / 2, grid_step)
+            if ts.size == 0 or ts[-1] < hi - 1e-12:
+                ts = np.append(ts, hi)
+            best = best_in(ts)
+            worst = max(worst, best)
+            if best > target + tol:
+                violations.append({"k": k, "n": n, "best": best})
+        rows.append(ReportRow(
+            k=k, counterfunction="-", certified_bound=float(width(k)),
+            worst_observed=worst, target=target, slack=tol,
+            status=_status(worst, target, tol),
+        ))
+    return rows, violations
+
+
+def _inv_square(t):
+    return 1.0 / (1.0 + t) ** 2
+
+
+def _integrand_curve(ts):
+    return np.array([_inv_square(t) for t in ts.tolist()])
+
+
+def _least_integrand(ts):
+    return float(min(map(_inv_square, ts.tolist())))
+
+
+def _pairing_curve(op, x):
+    def curve(ts):
+        W = op.exact_flow_many(x, ts)
+        return np.einsum("ij,ij->i", op.value_many(W), W - op.zero_projection_many(W))
+    return curve
+
+
+#: the shipped step, then steps whose windows miss their end points
+DIP_STEPS = [0.25, 0.1, 0.3, 1 / 3, 0.7]
+
+DIP_FLOWS = {
+    "scaled-identity": (lambda: make_scaled_identity(1.5, 2), [1.5, -1.0]),
+    "spd-laplacian-1d": (lambda: make_spd_linear(dirichlet_laplacian_1d(3)), [1.0, -0.5, 0.25]),
+    "quartic-well": (make_quartic_well, [3.0]),
+}
+
+
+@pytest.mark.parametrize("step", DIP_STEPS)
+@pytest.mark.parametrize("L", [1.0, 1.5, 0.3])
+def test_integrable_dip_matches_per_window_reference(L, step):
+    report = verify_integrable_dip(_inv_square, L, k_max=6, n_max=5, grid_step=step)
+    rows, violations = _dip_windows_reference(
+        lambda k: math.ceil(L + 1) * (k + 1), _least_integrand, 6, 5, step, 1e-9)
+    assert report.rows == rows
+    assert report.violations == violations
+
+
+@pytest.mark.parametrize("step", DIP_STEPS)
+@pytest.mark.parametrize("b", [2, 3, 5])
+@pytest.mark.parametrize("flow", list(DIP_FLOWS))
+def test_flow_pairing_dip_matches_per_window_reference(flow, b, step):
+    make, x = DIP_FLOWS[flow]
+    op = make()
+    curve = _pairing_curve(op, np.asarray(x))
+    report = verify_flow_pairing_dip(op, x, b, k_max=6, n_max=5, grid_step=step)
+    rows, violations = _dip_windows_reference(
+        lambda k: math.ceil(b * b / 2 + 1) * (k + 1), lambda ts: float(curve(ts).min()),
+        6, 5, step, 1e-9)
+    assert report.rows == rows
+    assert report.violations == violations
+
+
+@pytest.mark.parametrize("step", DIP_STEPS)
+@pytest.mark.parametrize("n_max", [0, 4])
+@pytest.mark.parametrize("flow", ["integrand", *DIP_FLOWS])
+def test_dip_windows_of_width_zero_match_reference(flow, n_max, step):
+    # a zero-width window is one point, so most windows fail
+    if flow == "integrand":
+        curve = _integrand_curve
+    else:
+        make, x = DIP_FLOWS[flow]
+        curve = _pairing_curve(make(), np.asarray(x))
+    report = harness._dip_windows(Report(scenario="dip"), lambda k: 0, curve, 6, n_max, step, 1e-9)
+    rows, violations = _dip_windows_reference(
+        lambda k: 0, lambda ts: float(curve(ts).min()), 6, n_max, step, 1e-9)
+    assert report.rows == rows
+    assert report.violations == violations
+    assert violations
+
+
+@pytest.mark.parametrize("name, n_max", [
+    ("liminf_integral.json", 20), ("liminf_flow_quartic.json", 10),
+])
+def test_dip_verifiers_evaluate_the_curve_once_per_window_start(name, n_max, monkeypatch):
+    curve_calls, oracle_calls = [], []
+    windows, oracle = harness._dip_windows, harness.evaluate_oracle_many
+
+    def counted_windows(report, width, curve, *rest):
+        return windows(report, width, lambda ts: curve_calls.append(ts.size) or curve(ts), *rest)
+
+    def counted_oracle(op, x, ts):
+        oracle_calls.append(len(ts))
+        return oracle(op, x, ts)
+
+    monkeypatch.setattr(harness, "_dip_windows", counted_windows)
+    monkeypatch.setattr(harness, "evaluate_oracle_many", counted_oracle)
+    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    assert raw["liminf"]["n_max"] == n_max
+    assert run_experiment(ExperimentConfig.from_dict(raw)).passed
+    assert len(curve_calls) == n_max + 1
+    # the pairing form looks the oracle up by its module name, once per start
+    assert oracle_calls == (curve_calls if "flow" in name else [])
 
 
 # ------------------------------------------------------------ Cauchy verifiers
