@@ -22,7 +22,6 @@ from .operators import (
 )
 from .semigroup import (
     AlmostOrbit,
-    almost_orbit_bound,
     cl_error_bound,
     evaluate_oracle_many,
     evaluate_semigroup,

@@ -86,7 +86,7 @@ def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigurationError("config", f"cannot read '{path}': {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
         raise ConfigurationError("config", f"'{path}' is not valid JSON: {exc}") from exc
     cfg = ExperimentConfig.from_dict(raw)
     if seed_override is not None:

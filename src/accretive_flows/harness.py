@@ -329,10 +329,14 @@ def _diameter(points: np.ndarray) -> float:
     return _suffix_diameters(points, [0])[0]
 
 
-def _grid_length(lo: float, hi: float, step: float) -> int:
+def _grid_length(lo: float, hi: float, step: float) -> int | float:
     """Length of ``np.arange(lo, hi + step / 2, step)``, by np.arange's own
-    formula."""
-    return math.ceil((hi + step / 2 - lo) / step)
+    formula; ``math.inf`` when the length overflows a float, which every
+    cap refuses."""
+    try:
+        return math.ceil((hi + step / 2 - lo) / step)
+    except OverflowError:
+        return math.inf
 
 
 def _capped_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -571,12 +575,15 @@ def verify_metastability(
             witness = None
             observed = math.inf
             for n in range(bound + 1):
-                ts = _window_grid(n, n + int(f(n)), grid_step)
-                budget -= ts.size
-                if budget < 0:
+                end = n + int(f(n))
+                # the arange length bounds the window from below, so an
+                # over-budget window is refused before it is built
+                if (_grid_length(n, end, grid_step) > budget
+                        or (ts := _window_grid(n, end, grid_step)).size > budget):
                     raise ResourceLimitError(
                         f"metastability search at k={k} exceeded the evaluation budget"
                     )
+                budget -= ts.size
                 extent = _diameter(u.evaluate_many(ts))
                 observed = min(observed, extent)
                 if extent <= target + tol:

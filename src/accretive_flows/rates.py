@@ -332,10 +332,10 @@ class XuInputs:
 
         The defect rate of the orbit supplies Phi (unless a custom functional
         is given); constants B, p_norm, and the graph bound f_s are derived
-        from the orbit's radius bound around its zero witness.
+        from the orbit's radius bound around the operator's zero witness.
         """
         B = int(u.bound_B)
-        p_norm = int(math.ceil(norm(u.zero)))
+        p_norm = int(math.ceil(norm(u.operator.zero_witness())))
         G = u.operator.graph_norm_bound(B + p_norm)
         phi = functional if functional is not None else FromRateFunctional(u.rate_phi)
         phi_rate = u.rate_phi if functional is None else None

@@ -22,13 +22,15 @@ Also provided: perturbed orbits u(t) = S(t)x + (c/(1+t)) e whose defect
 
     sup_{t>=0} || u(t+s) - S(t) u(s) ||  <=  2c / (1+s)
 
-admits the exact integer rate  phi(k) = ceil(2c(k+1) - 1).
+admits the exact integer rate  phi(k) = ceil(2c(k+1) - 1).  Their radius
+bound needs no flow evaluation: for a zero p, S(t)p = p and S(t) is
+nonexpansive, so  ||u(t) - p|| <= ||S(t)x - p|| + c/(1+t) <= ||x - p|| + c.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,7 +48,6 @@ __all__ = [
     "evaluate_semigroup",
     "evaluate_oracle_many",
     "make_almost_orbit",
-    "almost_orbit_bound",
 ]
 
 #: hard cap on the number of resolvent steps in one chain
@@ -121,8 +122,8 @@ class AlmostOrbit:
     size ``c`` and unit ``direction`` -- and evaluated in batches from the
     operator's closed-form flow.  ``rate_phi(k)`` bounds the time after which
     the defect sup_t ||u(t+s) - S(t)u(s)|| stays below 1/(k+1), and
-    ``bound_B`` bounds ||u(t) - zero|| for all t.  Build it with
-    ``make_almost_orbit``.
+    ``bound_B`` bounds ||u(t) - p|| for all t, where p is the operator's
+    ``zero_witness()``.  Build it with ``make_almost_orbit``.
     """
 
     operator: AccretiveOperator
@@ -131,7 +132,6 @@ class AlmostOrbit:
     direction: np.ndarray
     rate_phi: Callable[[int], int]
     bound_B: int
-    zero: np.ndarray
 
     def evaluate_many(self, ts) -> np.ndarray:
         """u at every time in ``ts``; rows follow ``ts``."""
@@ -158,9 +158,11 @@ def make_almost_orbit(op: AccretiveOperator, x, c: float, direction) -> AlmostOr
 
     The defect bound 2c/(1+s) gives the exact integer rate
     phi(k) = ceil(2c(k+1) - 1); c = 0 recovers a genuine orbit with phi == 0.
-    The radius bound B is certified by grid maximization plus the decay tail.
+    The radius bound is B = max(1, ceil(||x - p|| + c)) for the zero
+    p = ``op.zero_witness()``: S(t) fixes p and is nonexpansive, so
+    ||u(t) - p|| <= ||S(t)x - p|| + c/(1+t) <= ||x - p|| + c.
     """
-    x = as_point(x)
+    x = op._check_dim(x)
     e = as_point(direction)
     if c < 0:
         raise ValueError("perturbation size c must be nonnegative")
@@ -169,25 +171,7 @@ def make_almost_orbit(op: AccretiveOperator, x, c: float, direction) -> AlmostOr
     if e.shape != x.shape:
         raise ValueError("direction dimension must match the initial point")
 
-    phi = _harmonic_decay_rate(c)
-    p = op.zero_witness()
-    grid = np.arange(0.0, phi(0) + 1.0 + 1e-9, 0.05)
-    probe = AlmostOrbit(operator=op, initial=x, c=float(c), direction=e,
-                        rate_phi=phi, bound_B=1, zero=p)
-    return replace(probe, bound_B=almost_orbit_bound(probe, p, grid))
-
-
-def almost_orbit_bound(u: AlmostOrbit, p, grid) -> int:
-    """Integer B >= ||u(t) - p|| for all t >= 0.
-
-    Certified as the larger of the grid maximum and the tail bound
-    1 + ||u(s*) - p|| with s* = rate_phi(0): past s* the defect is <= 1 and
-    the flow is nonexpansive toward the zero p.
-    """
-    p = as_point(p)
-    s_star = float(u.rate_phi(0))
-    ts = np.append(np.asarray(grid, dtype=float), s_star)
-    gaps = np.linalg.norm(u.evaluate_many(ts) - p[None, :], axis=1)
-    tail = 1.0 + float(gaps[-1])
-    return max(1, int(math.ceil(max(float(np.max(gaps)), tail))))
-
+    radius = norm(x - op.zero_witness()) + c
+    return AlmostOrbit(operator=op, initial=x, c=float(c), direction=e,
+                       rate_phi=_harmonic_decay_rate(c),
+                       bound_B=max(1, math.ceil(radius)))

@@ -21,9 +21,14 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 NAN, INF = math.nan, math.inf
 
 
+#: stands in for an integer literal too long for json.dumps to write
+HUGE_INT = "<5000-digit integer>"
+
+
 def _write(tmp_path: Path, name: str, payload: dict) -> Path:
     path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    text = json.dumps(payload).replace(json.dumps(HUGE_INT), "9" * 5000)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -244,6 +249,8 @@ def _quartic_grid(**samples):
     ("nr_scaled_identity.json", "certify-nr",
      {"operator": {"kind": "spd", "matrix": [[2.0, 1.0], [0.0, 2.0]]},
       "initial_point": [1.0, 0.0]}, "operator.matrix"),
+    # json.load refuses integers of more than 4,300 digits with a ValueError
+    ("nr_scaled_identity.json", "certify-nr", {"bound_K": HUGE_INT}, "config"),
 ])
 def test_malformed_config_exits_two_and_names_the_field(
     name, command, overrides, field, tmp_path, capsys

@@ -165,6 +165,14 @@ def test_modulus_check_sampling_cap_refuses_before_allocating(samples, message):
     ("liminf_integral.json",
      {"grid_step": 1e-5, "liminf": {"form": "integral", "bound_L": 1.0, "n_max": 0}},
      "needs 4200001 grid points"),
+    # a grid length that overflows a float is over every cap
+    ("liminf_integral.json", {"grid_step": 1e-320}, "need inf curve evaluations"),
+    ("nr_scaled_identity.json", {"grid_step": 1e-320}, "needs inf grid points"),
+    # a metastability window of 4e13 points, and one whose end overflows a float
+    ("xu_meta_scaled_identity.json", {"counterfunctions": [{"const": 10**13}]},
+     "exceeded the evaluation budget"),
+    ("xu_meta_scaled_identity.json", {"counterfunctions": [{"const": 10**400}]},
+     "exceeded the evaluation budget"),
 ])
 def test_dip_window_caps_refuse_before_allocating(name, overrides, message):
     raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))

@@ -5,7 +5,6 @@ import pytest
 
 from accretive_flows import (
     ResourceLimitError,
-    almost_orbit_bound,
     cl_error_bound,
     dirichlet_laplacian_1d,
     evaluate_oracle_many,
@@ -274,15 +273,28 @@ def test_orbit_defect_matches_hand_formula(orbit_c1):
 
 def test_orbit_bound_examples(scaled_identity, orbit_c1):
     grid = np.arange(0.0, 10.01, 0.1)
-    # exact orbit from x with ||x - p|| = 2: every sample stays within 2
+    # exact orbit from x with ||x - p|| = 2: B = 2 covers every sample
     u0 = make_almost_orbit(scaled_identity, [2.0], 0.0, [1.0])
-    p = np.zeros(1)
-    samples = np.linalg.norm(u0.evaluate_many(grid) - p, axis=1)
-    assert samples.max() <= 2.0 + 1e-12
-    B0 = almost_orbit_bound(u0, p, grid)
-    assert B0 >= samples.max()
-    # perturbed orbit c=1 from x=2: B = 3 suffices and is returned
+    assert u0.bound_B == 2
+    samples = np.linalg.norm(u0.evaluate_many(grid), axis=1)
+    assert samples.max() <= u0.bound_B + 1e-12
+    # perturbed orbit c=1 from x=2: B = ||x|| + c = 3
     assert orbit_c1.bound_B == 3
-    samples1 = np.linalg.norm(orbit_c1.evaluate_many(grid) - p, axis=1)
+    samples1 = np.linalg.norm(orbit_c1.evaluate_many(grid), axis=1)
     assert samples1.max() <= orbit_c1.bound_B + 1e-12
-    assert almost_orbit_bound(orbit_c1, p, grid) >= samples1.max()
+
+
+def test_orbit_bound_is_at_least_one(scaled_identity):
+    # the orbit of the zero itself has radius 0, and B stays a positive integer
+    assert make_almost_orbit(scaled_identity, [0.0], 0.0, [1.0]).bound_B == 1
+
+
+@pytest.mark.parametrize("c", [0.0, 0.75, 1.5])
+@pytest.mark.parametrize("op,x,e", ORBIT_CASES, ids=lambda v: getattr(v, "name", None))
+def test_orbit_bound_is_the_closed_form_and_covers_the_orbit(op, x, e, c):
+    u = make_almost_orbit(op, x, c, e)
+    p = op.zero_witness()
+    assert u.bound_B == max(1, math.ceil(norm(np.asarray(x) - p) + c))
+    ts = np.linspace(0.0, 200.0, 200_001)
+    radius = np.linalg.norm(u.evaluate_many(ts) - p[None, :], axis=1)
+    assert radius.max() <= u.bound_B
