@@ -2,7 +2,8 @@
 
 Exit codes: 0 = all certificates PASS, 1 = at least one FAIL,
 2 = configuration error, 3 = resource limit (a grid, evaluation budget,
-operator size, k range, threshold or iteration count beyond its hard cap).
+operator size, k range, threshold or iteration count beyond its hard cap, or
+a norm that overflows a float).
 Identical invocations (same config and seed) produce byte-identical JSON
 reports.
 """
@@ -15,6 +16,7 @@ import io
 import json
 import os
 import sys
+import time
 
 from .errors import ConfigurationError, ResourceLimitError
 from .harness import ExperimentConfig, Report, instance_listing, run_experiment
@@ -119,7 +121,9 @@ def parse_and_run(argv) -> int:
                 f"config declares '{cfg.scenario}' but subcommand '{args.command}' "
                 f"runs '{expected}'",
             )
+        start = time.perf_counter()
         report = run_experiment(cfg)
+        runtime = time.perf_counter() - start
         emit_report(report, args.format, args.out)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -129,12 +133,9 @@ def parse_and_run(argv) -> int:
         return 3
 
     if args.verbose:
-        n_fail = sum(1 for r in report.rows if r.status == "FAIL")
-        print(
-            f"{report.scenario}: {len(report.rows)} rows, {n_fail} failures, "
-            f"{report.runtime_seconds:.2f}s",
-            file=sys.stderr,
-        )
+        summary = report.to_dict()["summary"]
+        print(f"{report.scenario}: {summary['rows']} rows, {summary['failures']} failures, "
+              f"{runtime:.2f}s", file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -17,8 +17,7 @@ the certificates, not the evaluator.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Sequence
 
@@ -48,6 +47,7 @@ from .operators import (
     make_spd_linear,
 )
 from .rates import (
+    THRESHOLD_CAP,
     CertifiedThreshold,
     ConstantFunctional,
     FromRateFunctional,
@@ -62,7 +62,7 @@ from .rates import (
     projection_modulus_identity,
 )
 from .semigroup import AlmostOrbit, evaluate_oracle_many, make_almost_orbit
-from .space import as_point, norm
+from .space import as_point, ceil_norm, norm
 
 __all__ = [
     "PASS",
@@ -113,39 +113,23 @@ def _status(observed: float, target: float, slack: float) -> str:
     return FAIL
 
 
-def _plain(obj):
-    """Recursively convert to JSON-serializable python primitives."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if obj is None or isinstance(obj, (str, bool)):
-        return obj
-    return str(obj)
-
-
 def _json_float(number: float) -> str:
     if math.isfinite(number):
         return float.__repr__(number)
     return "NaN" if number != number else "Infinity" if number > 0 else "-Infinity"
 
 
-#: writers of the exact types most report values have; a bool is not one of
-#: them, and writes as an int, as ``_plain`` converts it
+#: writers of the exact types of JSON leaves
 _JSON_LEAVES = {str: _json_string, float: _json_float, int: int.__repr__,
-                type(None): lambda _: "null"}
+                bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
 
 
 def _json_text(obj, pad: str, out: list) -> None:
-    """Append ``obj`` to ``out`` as ``json.dumps(_plain(obj), sort_keys=True,
-    indent=2)`` writes it at the nesting whose line break and indent is
-    ``pad``; values convert as in ``_plain``, so a bool writes as 0 or 1."""
+    """Append the JSON value ``obj`` to ``out`` as ``json.dumps(obj,
+    sort_keys=True, indent=2)`` writes it at the nesting whose line break and
+    indent is ``pad``.  A JSON value is a dict with str keys, a list, a tuple,
+    a str, int, float, bool or None; a numpy scalar writes as its ``.item()``
+    and anything else raises TypeError."""
     leaf = _JSON_LEAVES.get(type(obj))
     if leaf is not None:
         out.append(leaf(obj))
@@ -155,14 +139,14 @@ def _json_text(obj, pad: str, out: list) -> None:
             return
         inner = pad + "  "
         sep = "{" + inner
-        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+        for key, value in sorted(obj.items()):
+            if type(key) is not str:
+                raise TypeError(f"report key {key!r} is not a str")
             out += (sep, _json_string(key), ": ")
             _json_text(value, inner, out)
             sep = "," + inner
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        if isinstance(obj, np.ndarray):
-            obj = obj.tolist()
+    elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
@@ -173,14 +157,10 @@ def _json_text(obj, pad: str, out: list) -> None:
             _json_text(value, inner, out)
             sep = "," + inner
         out.append(pad + "]")
-    elif isinstance(obj, str):
-        out.append(_json_string(obj))
-    elif isinstance(obj, (np.floating, float)):
-        out.append(_json_float(float(obj)))
-    elif isinstance(obj, (np.integer, int)):
-        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, np.generic):
+        _json_text(obj.item(), pad, out)
     else:
-        out.append(_json_string(str(obj)))
+        raise TypeError(f"{type(obj).__name__} is not a JSON report value")
 
 
 @dataclass
@@ -196,13 +176,19 @@ class ReportRow:
     detail: dict = field(default_factory=dict)
 
 
+def _row(k: int, bound: float, observed: float, tol: float, failed: bool = False,
+         counterfunction: str = "-", **extra) -> ReportRow:
+    """Row of level k: target 1/(k+1), slack ``tol``; FAIL if ``failed``, else ``_status``."""
+    target = 1.0 / (k + 1)
+    return ReportRow(k=k, counterfunction=counterfunction, certified_bound=float(bound),
+                     worst_observed=float(observed), target=target, slack=tol,
+                     status=FAIL if failed else _status(observed, target, tol), **extra)
+
+
 @dataclass
 class Report:
-    """Outcome of one verification scenario.
-
-    ``runtime_seconds`` is set by ``run_experiment`` and excluded from
-    serialization so that identical runs produce byte-identical reports.
-    """
+    """Outcome of one verification scenario.  Its fields and its rows' hold
+    JSON values (see ``_json_text``), so identical runs give identical bytes."""
 
     scenario: str
     rows: list[ReportRow] = field(default_factory=list)
@@ -211,55 +197,34 @@ class Report:
     grid: dict = field(default_factory=dict)
     seed: int | None = None
     config: dict | None = None
-    runtime_seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
         return not self.violations and all(r.status != FAIL for r in self.rows)
 
-    def _summary(self) -> dict:
-        return {
-            "failures": sum(1 for r in self.rows if r.status == FAIL),
-            "pass_with_slack": sum(1 for r in self.rows if r.status == PASS_WITH_SLACK),
-            "rows": len(self.rows),
-        }
-
     def to_dict(self) -> dict:
+        """The report's data in the layout its JSON writes; nested containers are its own."""
         return {
             "scenario": self.scenario,
             "passed": self.passed,
             "seed": self.seed,
-            "grid": _plain(self.grid),
-            "provenance": _plain(self.provenance),
-            "rows": [_plain(asdict(r)) for r in self.rows],
-            "violations": _plain(self.violations),
-            "summary": self._summary(),
-            "config": _plain(self.config) if self.config is not None else None,
+            "grid": self.grid,
+            "provenance": self.provenance,
+            "rows": [vars(r) for r in self.rows],
+            "violations": self.violations,
+            "summary": {
+                "failures": sum(r.status == FAIL for r in self.rows),
+                "pass_with_slack": sum(r.status == PASS_WITH_SLACK for r in self.rows),
+                "rows": len(self.rows),
+            },
+            "config": self.config,
         }
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\\n"``,
-        written in one pass over the fields without building the dict."""
-        out, sep = [], "{\n  "
-        # top-level keys in sorted order; "passed" is the one JSON bool
-        for key, value in (
-            ("config", self.config),
-            ("grid", self.grid),
-            ("passed", self.passed),
-            ("provenance", self.provenance),
-            ("rows", [vars(r) for r in self.rows]),
-            ("scenario", self.scenario),
-            ("seed", self.seed),
-            ("summary", self._summary()),
-            ("violations", self.violations),
-        ):
-            out += (sep, f'"{key}": ')
-            if key == "passed":
-                out.append("true" if value else "false")
-            else:
-                _json_text(value, "\n  ", out)
-            sep = ",\n  "
-        out.append("\n}\n")
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\\n"``."""
+        out = []
+        _json_text(self.to_dict(), "\n", out)
+        out.append("\n")
         return "".join(out)
 
 
@@ -407,13 +372,8 @@ def _dip_windows(
         for k in np.flatnonzero(best > limits).tolist():
             failing[k].append({"k": k, "n": n, "best": float(best[k])})
     for k, observed in zip(ks, worst.tolist()):
-        target = 1.0 / (k + 1)
         report.violations += failing[k]
-        report.rows.append(ReportRow(
-            k=k, counterfunction="-", certified_bound=float(widths[k]),
-            worst_observed=observed, target=target, slack=tol,
-            status=_status(observed, target, tol),
-        ))
+        report.rows.append(_row(k, widths[k], observed, tol))
     return report
 
 
@@ -478,8 +438,11 @@ def _verify_pairwise(
 ) -> Report:
     ks = sorted(int(k) for k in k_range)
     thresholds = {k: int(threshold(k)) for k in ks}
+    top = max(thresholds.values())
+    if top > THRESHOLD_CAP:
+        raise ResourceLimitError(f"threshold {top} exceeds cap {THRESHOLD_CAP}")
     t_lo = min(thresholds.values())
-    horizon = max(thresholds.values()) + horizon_pad
+    horizon = top + horizon_pad
     grid = _capped_grid(t_lo, horizon, grid_step)
     points = curve_many(grid)
     report = Report(
@@ -491,14 +454,9 @@ def _verify_pairwise(
     )
     starts = [int(np.searchsorted(grid, thresholds[k] - 1e-9)) for k in ks]
     for k, extent in zip(ks, _suffix_diameters(points, starts)):
-        target = 1.0 / (k + 1)
-        status = _status(extent, target, tol)
-        report.rows.append(ReportRow(
-            k=k, counterfunction="-", certified_bound=float(thresholds[k]),
-            worst_observed=extent, target=target, slack=tol, status=status,
-            detail={"pairs": "exact"},
-        ))
-        if status == FAIL:
+        row = _row(k, thresholds[k], extent, tol, detail={"pairs": "exact"})
+        report.rows.append(row)
+        if row.status == FAIL:
             report.violations.append({"k": k, "threshold": thresholds[k], "extent": extent})
     return report
 
@@ -590,16 +548,10 @@ def verify_metastability(
                     witness = n
                     observed = extent
                     break
-            status = _status(observed, target, tol) if witness is not None else FAIL
-            report.rows.append(ReportRow(
-                k=k, counterfunction=rate_label(f), certified_bound=float(bound),
-                worst_observed=float(observed), target=target, slack=tol,
-                status=status, witness=witness,
-            ))
+            report.rows.append(_row(k, bound, observed, tol, failed=witness is None,
+                                    counterfunction=rate_label(f), witness=witness))
             if witness is None:
-                report.violations.append(
-                    {"k": k, "counterfunction": rate_label(f), "bound": bound}
-                )
+                report.violations.append({"k": k, "counterfunction": rate_label(f), "bound": bound})
     return report
 
 
@@ -816,7 +768,7 @@ _INTEGRANDS = {
 def _norm_bound(spec: _Fields, key: str, what: str, value: float) -> int:
     """The integer bound ``spec``'s ``key`` on the norm ``what`` = ``value``;
     it defaults to ceil(value) and is refused below ``value``."""
-    bound = spec.int(key, least=0, default=math.ceil(value))
+    bound = spec.int(key, least=0, default=ceil_norm(value, what))
     if bound < value:
         raise ConfigurationError(spec.name(key), f"must be >= {what} = {value:g}, got {bound}")
     return bound
@@ -880,7 +832,7 @@ class ExperimentConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {key: _plain(val) for key in self._KNOWN
+        return {key: list(val) if key == "k_range" else val for key in self._KNOWN
                 if (val := getattr(self, key)) is not None and (key != "counterfunctions" or val)}
 
 
@@ -940,7 +892,7 @@ def _nr_closure(cfg: ExperimentConfig) -> Report:
     op, x, weak = _audit(cfg, _cfg_point)
     spec = _Fields(cfg.closure, "closure")
     f = spec.rate("f")
-    p_norm = spec.int("p_norm", least=0, default=math.ceil(norm(op.zero_witness())))
+    p_norm = spec.int("p_norm", least=0, default=ceil_norm(norm(op.zero_witness()), "||p||"))
     x_norm = _norm_bound(spec, "x_norm_bound", "||x||", norm(x))
     x_dist = _norm_bound(spec, "x_dist_bound", "||x - Px||", norm(x - op.zero_projection(x)))
     spec.done()
@@ -996,14 +948,9 @@ def _modulus_check(cfg: ExperimentConfig) -> Report:
         grid={"k_range": list(cfg.k_range), "sampling": samples},
     )
     for entry in inner.per_k:
-        k = entry["k"]
-        target = 1.0 / (k + 1)
-        status = FAIL if entry["n_violations"] else _status(
-            entry["worst_gap_under_premise"], target, cfg.tolerance)
-        report.rows.append(ReportRow(
-            k=k, counterfunction="-", certified_bound=entry["premise_threshold"],
-            worst_observed=entry["worst_gap_under_premise"], target=target,
-            slack=cfg.tolerance, status=status,
+        report.rows.append(_row(
+            entry["k"], entry["premise_threshold"], entry["worst_gap_under_premise"],
+            cfg.tolerance, failed=entry["n_violations"] > 0,
             detail={"n_premise": entry["n_premise"], "n_violations": entry["n_violations"]},
         ))
     return report
@@ -1040,15 +987,14 @@ _SCENARIOS = {
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run a configured scenario (build the operator, audit the inputs,
-    build the threshold, verify) and return its Report, keeping the rows
-    with k >= k_range[0]."""
-    start = time.perf_counter()
+    build the threshold, verify) and return its Report, keeping the rows and
+    violations with k >= k_range[0]."""
     step, renamed = _SCENARIOS[cfg.scenario]
     report = step(cfg)
     if renamed:
         report.scenario = cfg.scenario
     report.rows = [r for r in report.rows if r.k >= cfg.k_range[0]]
+    report.violations = [v for v in report.violations if v["k"] >= cfg.k_range[0]]
     report.seed = cfg.seed
     report.config = cfg.to_dict()
-    report.runtime_seconds = time.perf_counter() - start
     return report

@@ -58,7 +58,7 @@ from .errors import ResourceLimitError
 from .moduli import RateFn, WeakModulus, identity_rate, rate_from_spec, rate_label
 from .operators import AccretiveOperator
 from .semigroup import AlmostOrbit
-from .space import as_point, eta_hilbert, norm
+from .space import as_point, ceil_norm, eta_hilbert, norm
 
 __all__ = [
     "INDEX_CAP",
@@ -141,10 +141,10 @@ class NRInputs:
         x = as_point(x)
         p = op.zero_witness()
         gap = norm(x - op.zero_projection(x))
+        b = ceil_norm(gap, "||x - Px||")
         speed = norm(op.value(x))
         reach = norm(x - p) + norm(p)
-        b = int(math.ceil(gap))
-        K = int(math.ceil(max(speed, reach)))
+        K = ceil_norm(max(speed, reach), "max(||v||, ||x - p|| + ||p||)")
         return cls(
             weak_modulus=weak_modulus, K=K, b=b,
             provenance={
@@ -335,7 +335,7 @@ class XuInputs:
         from the orbit's radius bound around the operator's zero witness.
         """
         B = int(u.bound_B)
-        p_norm = int(math.ceil(norm(u.operator.zero_witness())))
+        p_norm = ceil_norm(norm(u.operator.zero_witness()), "||p||")
         G = u.operator.graph_norm_bound(B + p_norm)
         phi = functional if functional is not None else FromRateFunctional(u.rate_phi)
         phi_rate = u.rate_phi if functional is None else None

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .operators import AccretiveOperator
-from .space import as_point, norm
+from .space import as_point, ceil_norm, norm
 
 __all__ = [
     "AlmostOrbit",
@@ -171,7 +171,6 @@ def make_almost_orbit(op: AccretiveOperator, x, c: float, direction) -> AlmostOr
     if e.shape != x.shape:
         raise ValueError("direction dimension must match the initial point")
 
-    radius = norm(x - op.zero_witness()) + c
+    bound = ceil_norm(norm(x - op.zero_witness()) + c, "||x - p|| + c")
     return AlmostOrbit(operator=op, initial=x, c=float(c), direction=e,
-                       rate_phi=_harmonic_decay_rate(c),
-                       bound_B=max(1, math.ceil(radius)))
+                       rate_phi=_harmonic_decay_rate(c), bound_B=max(1, bound))

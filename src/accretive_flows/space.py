@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
-__all__ = ["Point", "as_point", "norm", "eta_hilbert"]
+from .errors import ResourceLimitError
+
+__all__ = ["Point", "as_point", "norm", "ceil_norm", "eta_hilbert"]
 
 # State vectors are plain 1-d float arrays.
 Point = np.ndarray
@@ -31,7 +33,17 @@ def as_point(coords) -> Point:
 
 
 def norm(x) -> float:
-    return float(np.linalg.norm(as_point(x)))
+    """Euclidean norm of a point; inf when it overflows a float."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(np.asarray(x, dtype=float)))
+
+
+def ceil_norm(value: float, what: str) -> int:
+    """ceil(value), the integer bound on the norm ``what`` = ``value``; a
+    norm that overflowed a float raises ResourceLimitError."""
+    if not math.isfinite(value):
+        raise ResourceLimitError(f"{what} = {value} overflows a float")
+    return math.ceil(value)
 
 
 def eta_hilbert(eps: float) -> float:

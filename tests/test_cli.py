@@ -1,12 +1,13 @@
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from accretive_flows.cli import CSV_HEADER, parse_and_run, render_report
+from accretive_flows.cli import COMMAND_SCENARIOS, CSV_HEADER, parse_and_run, render_report
 from accretive_flows.errors import ResourceLimitError
 from accretive_flows.harness import (
     MAX_K,
@@ -296,6 +297,31 @@ def test_operator_size_cap_exits_three(operator, tmp_path, capsys):
     assert f"exceeds the cap {MAX_OPERATOR_DIM}" in capsys.readouterr().err
 
 
+#: start points whose norm overflows a float once squared
+HUGE_POINTS = [[1e160], [1e200], [1e300], [-1e300]]
+
+
+@pytest.mark.parametrize("name, field, values", [
+    *((name, "initial_point", HUGE_POINTS) for name in (
+        "nr_scaled_identity.json", "nr_closure_scaled_identity.json", "nr_quartic.json",
+        "liminf_flow_quartic.json", "xu_meta_scaled_identity.json", "xu_roc_scaled_identity.json",
+    )),
+    ("nr_scaled_identity.json", "operator.alpha", [1e160, 1e200, 1e300]),
+    # an orbit radius that overflows no float, but a threshold above THRESHOLD_CAP
+    ("xu_roc_scaled_identity.json", "almost_orbit.c", [1e160, 1e200, 1e300]),
+])
+def test_values_that_overflow_a_float_exit_three(name, field, values, tmp_path, capsys):
+    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    command = {scenario: cmd for cmd, scenario in COMMAND_SCENARIOS.items()}[raw["scenario"]]
+    *parent, key = field.split(".")
+    spec = raw[parent[0]] if parent else raw
+    for value in values:
+        spec[key] = value
+        cfg = _write(tmp_path, "huge.json", raw)
+        assert parse_and_run([command, "--config", str(cfg)]) == 3, value
+        assert "resource limit" in capsys.readouterr().err
+
+
 def test_scenario_subcommand_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, "nr.json", _nr_config())
     assert parse_and_run(["certify-xu-meta", "--config", str(cfg)]) == 2
@@ -319,8 +345,13 @@ def test_csv_output(tmp_path):
     assert all(line.endswith("PASS") for line in lines[1:])
 
 
-def test_json_round_trip():
-    report = run_experiment(ExperimentConfig.from_dict(_nr_config()))
+CONFIG_NAMES = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_json_round_trip(name):
+    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    report = run_experiment(ExperimentConfig.from_dict(raw))
     text = render_report(report, "json")
     assert json.loads(text) == report.to_dict()
 
@@ -329,34 +360,66 @@ def _dumped(report):
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+@pytest.mark.parametrize("name", CONFIG_NAMES)
 def test_json_report_is_the_json_dumps_layout(name):
     raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
     report = run_experiment(ExperimentConfig.from_dict(raw))
     assert render_report(report, "json") == _dumped(report)
 
 
-def test_json_report_converts_values_as_the_dict_view():
+def _synthetic_report(number=float, single=float, integer=int, flag=bool):
+    """A report of every kind of JSON value; ``number`` and ``single`` build
+    its floats (``single`` those a float32 holds), ``integer`` its ints and
+    ``flag`` its bools."""
     row = ReportRow(
-        k=np.int64(3), counterfunction='say "hi" \\ to caf\u00e9 \u2713\n',
-        certified_bound=np.float64(2.5), worst_observed=math.nan, target=math.inf,
-        slack=-math.inf, status="PASS",
+        k=integer(3), counterfunction='say "hi" \\ to caf\u00e9 \u2713\n',
+        certified_bound=number(2.5), worst_observed=number(NAN), target=number(INF),
+        slack=number(-INF), status="PASS",
         detail={
-            "flag": np.bool_(True), "bool": True, "pair": (1, 2.0), "f32": np.float32(0.1),
-            "array": np.array([[1.5, -0.0], [3.0, 1e300]]), "ints": np.arange(3),
-            "empty": [], "empty_tuple": (), "empty_dict": {}, "empty_array": np.zeros(0),
-            7: "int key", 1: "shadowed", "1": "last wins", "fraction": Fraction(1, 3),
-            "nested": {"b": [{"z": None, "a": -1}], "a": "\x00\t\u00ff"},
+            "flag": flag(True), "off": flag(False), "none": None, "pair": (integer(1), number(2.0)),
+            "small": single(0.1), "signs": [number(-0.0), number(1e300), integer(-7)],
+            "empty": [], "empty_tuple": (), "empty_dict": {}, "1": "digits key",
+            "nested": {"b": [{"z": None, "a": integer(-1)}], "a": "\x00\t\u00ff"},
         },
     )
-    report = Report(scenario="synthetic",
-                    rows=[row, ReportRow(0, "-", 1.0, 0.5, 1.0, 0.0, "FAIL")],
-                    violations=[{"k": np.int64(1), "x": np.array([-1.25])}],
-                    provenance={"operator": "\"quoted\""}, grid={}, seed=7,
-                    config={"k_range": (0, 3)})
+    return Report(scenario="synthetic",
+                  rows=[row, ReportRow(0, "-", 1.0, 0.5, 1.0, 0.0, "FAIL")],
+                  violations=[{"k": integer(1), "x": [single(-1.25)]}],
+                  provenance={"operator": "\"quoted\""}, grid={}, seed=7,
+                  config={"k_range": (0, 3)})
+
+
+def test_json_report_converts_values_as_the_dict_view():
+    report = _synthetic_report()
     assert render_report(report, "json") == _dumped(report)
     empty = Report(scenario="empty")
     assert render_report(empty, "json") == _dumped(empty)
+
+
+def test_json_report_writes_numpy_scalars_as_their_items():
+    # json.dumps refuses np.int64 and np.bool_, so the reference is the
+    # same report built from the scalars' .item() values
+    kinds = (np.float64, np.float32, np.int64, np.bool_)
+    numpy_report = _synthetic_report(*kinds)
+    plain_report = _synthetic_report(*(lambda v, kind=kind: kind(v).item() for kind in kinds))
+    assert render_report(numpy_report, "json") == render_report(plain_report, "json")
+
+
+@pytest.mark.parametrize("value", [
+    np.array([1.5, 2.0]), Fraction(1, 3), {1.0, 2.0}, {7: "int key"},
+])
+def test_json_report_refuses_non_json_values(value):
+    report = Report(scenario="synthetic", provenance={"value": value})
+    with pytest.raises(TypeError):
+        render_report(report, "json")
+
+
+def test_verbose_prints_the_runtime_and_the_report_has_none(tmp_path, capsys):
+    cfg = _write(tmp_path, "nr.json", _nr_config())
+    out = tmp_path / "report.json"
+    assert parse_and_run(["certify-nr", "--config", str(cfg), "--out", str(out), "-v"]) == 0
+    assert re.fullmatch(r"nr: 3 rows, 0 failures, \d+\.\d\ds\n", capsys.readouterr().err)
+    assert "runtime" not in out.read_text(encoding="utf-8")
 
 
 def test_seed_override_and_env_fallback(tmp_path, monkeypatch):

@@ -408,6 +408,14 @@ def test_run_experiment_liminf_flow_default_b():
     assert report.provenance["b"] == 2  # ceil(||x - Px||) = ceil(|3 - 1|)
 
 
+def test_run_experiment_drops_violations_below_k_range():
+    # modulus-check computes from k = 0, and the linear-k modulus fails from k = 1
+    raw = json.loads((CONFIG_DIR / "modulus_quartic_wrong.json").read_text(encoding="utf-8"))
+    report = run_experiment(ExperimentConfig.from_dict({**raw, "k_range": [3, 4]}))
+    assert [r.k for r in report.rows] == [3, 4]
+    assert {v["k"] for v in report.violations} == {3, 4}
+
+
 def test_run_experiment_liminf_integral():
     cfg = ExperimentConfig.from_dict({
         "scenario": "liminf-check",
@@ -447,10 +455,3 @@ def test_modulus_check_requires_bound_K():
     with pytest.raises(ConfigurationError) as err:
         run_experiment(ExperimentConfig.from_dict(raw))
     assert err.value.field == "bound_K"
-
-
-def test_report_dict_is_runtime_free():
-    report = run_experiment(ExperimentConfig.from_dict(_nr_config()))
-    payload = report.to_dict()
-    assert "runtime" not in json.dumps(payload)
-    assert report.runtime_seconds > 0.0
