@@ -103,6 +103,11 @@ MAX_OPERATOR_DIM = 1024
 MAX_K = 10_000
 #: rows per block of the pairwise diameter scan; small blocks stay in cache
 _DIAMETER_BLOCK = 32
+#: relative margin of the diameter scan's pruning bound, far above rounding
+_PRUNE_MARGIN = 1e-9
+#: smallest positive and smallest normal double
+_SUBNORMAL_MIN = 2.0 ** -1074
+_FLOAT_MIN_NORMAL = 2.0 ** -1022
 
 
 def _status(observed: float, target: float, slack: float) -> str:
@@ -233,10 +238,10 @@ def _suffix_diameters(points: np.ndarray, starts: Sequence[int]) -> list[float]:
     ``s`` in ``starts``.
 
     All suffixes come from one pass.  1-d data is exact through a reversed
-    running max and min.  For d > 1, each row's largest squared distance to
-    a later row is computed block by block; a reversed running max of those
-    gives every suffix exactly.  A d > 1 suffix longer than
-    ``EXACT_DIAMETER_ROWS`` raises ResourceLimitError.
+    running max and min.  For d > 1, ``_suffix_square_maxima`` scans the
+    pairs block by block and skips the blocks a triangle-inequality bound
+    rules out; it returns the same floats as a scan of every pair.  A d > 1
+    suffix longer than ``EXACT_DIAMETER_ROWS`` raises ResourceLimitError.
     """
     n, d = points.shape
     cuts = sorted({s for s in starts if s < n - 1})
@@ -250,7 +255,7 @@ def _suffix_diameters(points: np.ndarray, starts: Sequence[int]) -> list[float]:
         if n - m > EXACT_DIAMETER_ROWS:
             raise ResourceLimitError(f"diameter of {n - m} points in R^{d} exceeds "
                                      f"{EXACT_DIAMETER_ROWS} rows")
-        sq = _suffix_reduce(np.maximum, _later_row_maxima(points[m:]), [c - m for c in cuts])
+        sq = _suffix_square_maxima(points[m:], [c - m for c in cuts])
         exact = dict(zip(cuts, np.sqrt(sq).tolist()))
     return [exact.get(s, 0.0) for s in starts]
 
@@ -260,32 +265,76 @@ def _suffix_reduce(ufunc: np.ufunc, values: np.ndarray, cuts: list[int]) -> np.n
     return ufunc.accumulate(ufunc.reduceat(values, cuts)[::-1])[::-1]
 
 
-def _later_row_maxima(points: np.ndarray) -> np.ndarray:
-    """Row i: the largest squared distance from row i to a later row (0 for
-    the last row)."""
+def _suffix_square_maxima(points: np.ndarray, cuts: list[int]) -> np.ndarray:
+    """Largest squared distance among the rows of ``points[c:]`` for each of
+    the sorted ``cuts``, the first of which is 0.
+
+    The cut segments are scanned from the last to the first in row blocks,
+    each block against every row from its own start on, carrying ``best``,
+    the largest square found so far.  Every row of a segment lies in the
+    suffix of its cut, so ``best`` after a segment is that cut's value.
+
+    A block is skipped when the triangle inequality through the last row
+    (the pivot) shows no pair in it can exceed ``best``.  With sqD_i the
+    squared distance from row i to the pivot, e_i = (sqrt(sqD_i) +
+    sqrt(d * 2**-1074)) * (1 + 1e-9) bounds that distance despite rounding
+    and subnormal squares, and the block is skipped when (max e over the
+    block + max e from its start on) * (1 + 1e-9) <= sqrt(best) * (1 - 1e-9).
+    The margins outweigh the rounding of every computed pair, so a skipped
+    pair's square is below ``best``; every square that is kept comes from
+    ``_pair_squares``, so each result is the same float a scan of every pair
+    gives.  Nothing is skipped while ``best`` is below the smallest normal
+    float, where relative margins fail, or infinite, where a pair of rows
+    with the same infinite coordinate gives a NaN that an infinite bound
+    cannot rule out; a NaN row has a NaN bound and is never skipped either.
+    """
     n, d = points.shape
-    out = np.zeros(n)
-    earlier = np.tri(_DIAMETER_BLOCK, dtype=bool)  # pairs j <= i inside a block
     coords = np.ascontiguousarray(points.T)
+    earlier = np.tri(_DIAMETER_BLOCK, dtype=bool)  # pairs j <= i inside a block
     sq_buf, diff_buf = np.empty((2, _DIAMETER_BLOCK * n))
-    for i0 in range(0, n, _DIAMETER_BLOCK):
-        b, width = min(_DIAMETER_BLOCK, n - i0), n - i0
-        sq = sq_buf[:b * width].reshape(b, width)
-        if d < 8:
-            # coordinate by coordinate, in order: the same bits numpy's sum
-            # gives for fewer than 8 terms, without a (b, width, d) temporary
-            diff = diff_buf[:b * width].reshape(b, width)
-            sq.fill(0.0)
-            for col in coords[:, i0:]:
-                np.subtract(col[:b, None], col[None, :], out=diff)
-                diff *= diff
-                sq += diff
-        else:
-            # numpy's pairwise summation regroups 8 or more terms
-            ((points[i0:i0 + b, None, :] - points[None, i0:, :]) ** 2).sum(-1, out=sq)
-        sq[:, :b][earlier[:b, :b]] = 0.0
-        sq.max(axis=1, out=out[i0:i0 + b])
-    return out
+    # block starts: every _DIAMETER_BLOCK rows, split at the cuts
+    starts = np.union1d(np.arange(0, n, _DIAMETER_BLOCK), cuts)
+    reach = np.sqrt(np.square(points - points[-1]).sum(axis=1))  # e_i
+    reach += math.sqrt(d * _SUBNORMAL_MIN)
+    reach *= 1.0 + _PRUNE_MARGIN
+    bounds = np.maximum.reduceat(reach, starts)
+    bounds += np.maximum.accumulate(reach[::-1])[::-1][starts]
+    bounds *= 1.0 + _PRUNE_MARGIN
+    blocks = list(zip(starts.tolist(), starts[1:].tolist() + [n], bounds.tolist()))
+    firsts = np.searchsorted(starts, cuts).tolist() + [len(blocks)]
+    best, out = 0.0, []
+    for seg in reversed(range(len(cuts))):
+        for i0, i1, bound in blocks[firsts[seg]:firsts[seg + 1]]:
+            if (_FLOAT_MIN_NORMAL <= best < math.inf
+                    and bound <= math.sqrt(best) * (1.0 - _PRUNE_MARGIN)):
+                continue
+            sq = _pair_squares(points, coords, i0, i1, sq_buf, diff_buf)
+            sq[:, :i1 - i0][earlier[:i1 - i0, :i1 - i0]] = 0.0
+            best = float(np.maximum(best, sq.max()))  # a NaN square stays NaN
+        out.append(best)
+    return np.array(out[::-1])
+
+
+def _pair_squares(points: np.ndarray, coords: np.ndarray, i0: int, i1: int,
+                  sq_buf: np.ndarray, diff_buf: np.ndarray) -> np.ndarray:
+    """Squared distances from rows ``i0:i1`` of ``points`` to every row from
+    ``i0`` on, as a view of ``sq_buf``; ``coords`` is ``points.T``, contiguous."""
+    n, d = points.shape
+    b, width = i1 - i0, n - i0
+    sq = sq_buf[:b * width].reshape(b, width)
+    if d < 8:
+        # coordinate by coordinate, in order: the same bits numpy's sum
+        # gives for fewer than 8 terms, without a (b, width, d) temporary
+        diff = diff_buf[:b * width].reshape(b, width)
+        sq.fill(0.0)
+        for col in coords[:, i0:]:
+            np.subtract(col[:b, None], col[None, :], out=diff)
+            diff *= diff
+            sq += diff
+    else:
+        # numpy's pairwise summation regroups 8 or more terms
+        ((points[i0:i1, None, :] - points[None, i0:, :]) ** 2).sum(-1, out=sq)
+    return sq
 
 
 def _diameter(points: np.ndarray) -> float:

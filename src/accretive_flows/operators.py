@@ -247,8 +247,10 @@ class QuarticWell(AccretiveOperator):
         out = np.zeros_like(X)
         hi = X > 1.0
         lo = X < -1.0
-        out[hi] = 4.0 * (X[hi] - 1.0) ** 3
-        out[lo] = 4.0 * (X[lo] + 1.0) ** 3
+        # a cube beyond the float range is inf; ceil_norm refuses it
+        with np.errstate(over="ignore"):
+            out[hi] = 4.0 * (X[hi] - 1.0) ** 3
+            out[lo] = 4.0 * (X[lo] + 1.0) ** 3
         return out
 
     def zero_witness(self):
@@ -262,11 +264,14 @@ class QuarticWell(AccretiveOperator):
         # inside [-1, 1] are stationary
         if -1.0 <= x0 <= 1.0:
             return np.full((ts.shape[0], 1), x0)
-        if x0 > 1.0:
-            w = ((x0 - 1.0) ** -2 + 8.0 * ts) ** -0.5
-            return (1.0 + w)[:, None]
-        w = ((-x0 - 1.0) ** -2 + 8.0 * ts) ** -0.5
-        return (-1.0 - w)[:, None]
+        # w = 1 + ((|x0| - 1)^-2 + 8t)^-0.5, in place; -(1 + w) is -1 - w exactly
+        w = 8.0 * ts
+        w += (abs(x0) - 1.0) ** -2
+        np.power(w, -0.5, out=w)
+        w += 1.0
+        if x0 < -1.0:
+            np.negative(w, out=w)
+        return w[:, None]
 
     def graph_norm_bound(self, radius):
         slope = 4.0 * max(0.0, radius - 1.0) ** 3

@@ -302,8 +302,11 @@ HUGE_POINTS = [[1e160], [1e200], [1e300], [-1e300]]
 
 
 @pytest.mark.parametrize("name, field, values", [
+    ("nr_scaled_identity.json", "initial_point", HUGE_POINTS),
+    ("nr_closure_scaled_identity.json", "initial_point", HUGE_POINTS),
+    # the quartic slope 4(|x| - 1)^3 overflows long before ||x - Px|| does
+    ("nr_quartic.json", "initial_point", HUGE_POINTS + [[1e120], [-1e120]]),
     *((name, "initial_point", HUGE_POINTS) for name in (
-        "nr_scaled_identity.json", "nr_closure_scaled_identity.json", "nr_quartic.json",
         "liminf_flow_quartic.json", "xu_meta_scaled_identity.json", "xu_roc_scaled_identity.json",
     )),
     ("nr_scaled_identity.json", "operator.alpha", [1e160, 1e200, 1e300]),

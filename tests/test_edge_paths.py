@@ -20,6 +20,7 @@ from accretive_flows import (
     sample_graph_pairs,
     verify_cauchy_rate,
 )
+from accretive_flows import harness
 from accretive_flows.cli import parse_and_run, render_report
 from accretive_flows.harness import EXACT_DIAMETER_ROWS, _diameter, _suffix_diameters
 
@@ -97,6 +98,130 @@ def test_suffix_diameters_refuse_beyond_exact_limit(rng, d):
             _suffix_diameters(pts, beyond)
     else:
         assert _suffix_diameters(pts, beyond) == [_diameter_reference(pts[s:]) for s in beyond]
+
+
+def _point_family(name, n, d, rng):
+    t = 0.25 * np.arange(n)
+    if name == "random":
+        return rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0, size=d)
+    if name == "decaying":  # a diagonal linear flow: squares go subnormal, then zero
+        return rng.normal(size=d) * np.exp(-np.outer(t, rng.uniform(0.5, 3.0, size=d)))
+    if name == "spiral":  # converges like 1/t while it turns
+        return (np.stack([np.cos(t), np.sin(t)] + [np.cos(t * k) for k in range(2, d)], axis=1)
+                / (1.0 + t)[:, None])
+    if name == "sphere":
+        x = rng.normal(size=(n, d))
+        return x / np.linalg.norm(x, axis=1)[:, None]
+    if name == "circle":  # a closed curve in a random 2-plane, in order
+        plane = np.linalg.qr(rng.normal(size=(d, 2)))[0]
+        s = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        return np.stack([np.cos(s), np.sin(s)], axis=1) @ plane.T + rng.normal(size=d)
+    scale = {"tiny": 1e-160, "huge": 1e160}[name]  # squares subnormal / overflow to inf
+    return rng.normal(size=(n, d)) * scale
+
+
+#: cuts at block edges and just off them, repeated, unsorted and past the end
+_CUTS = [255, 0, 1, 31, 32, 33, 64, 64, 200, 256, 416, 448, 450 - 2, 450 - 1, 450, 457]
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 8, 16])
+@pytest.mark.parametrize("family", ["random", "decaying", "spiral", "sphere", "circle",
+                                    "tiny", "huge"])
+def test_pruned_suffix_diameters_equal_brute_force(rng, family, d):
+    pts = _point_family(family, 450, d, rng)
+    with np.errstate(over="ignore"):  # the "huge" squares overflow in both
+        got = _suffix_diameters(pts, _CUTS)
+        want = [_diameter_reference(pts[s:]) for s in _CUTS]
+    assert got == want
+
+
+def _scan_reference(points, starts):
+    # every pair at once, NaN-propagating like the scan without pruning;
+    # _diameter_reference drops a NaN in its first chunk through Python's max
+    n = len(points)
+    sq = ((points[:, None, :] - points[None, :, :]) ** 2).sum(-1)
+    sq[np.tril_indices(n)] = 0.0
+    suffix = np.sqrt(np.maximum.accumulate(sq.max(axis=1)[::-1])[::-1])
+    return [float(suffix[s]) if s < n - 1 else 0.0 for s in starts]
+
+
+@pytest.mark.parametrize("row", [0, 100, 298, 299])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_suffix_diameters_with_a_non_finite_row_match_brute_force(rng, row, value):
+    pts = rng.normal(size=(300, 3))
+    pts[row, 1] = value
+    starts = [0, 50, 100, 101, 150, 298]
+    with np.errstate(invalid="ignore"):  # inf - inf on the masked diagonal, in both
+        got = _suffix_diameters(pts, starts)
+        want = _scan_reference(pts, starts)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_suffix_diameters_keep_the_nan_of_two_rows_with_one_infinite_coordinate(rng):
+    # inf - inf is NaN, but the pruning bound of both rows is inf: the scan
+    # must not skip them once an earlier block has found an infinite square
+    pts = rng.normal(size=(300, 3))
+    pts[[40, 200], 0] = math.inf
+    starts = [0, 40, 41, 150, 201]
+    with np.errstate(invalid="ignore"):
+        got = _suffix_diameters(pts, starts)
+        want = _scan_reference(pts, starts)
+    assert [math.isnan(v) for v in want] == [True, True, False, False, False]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_pruned_suffix_diameters_at_the_row_limit(rng):
+    pts = _point_family("spiral", EXACT_DIAMETER_ROWS, 3, rng)
+    starts = [0, 2048, 4000]
+    assert _suffix_diameters(pts, starts) == [_diameter_reference(pts[s:]) for s in starts]
+
+
+def _count_pairs(monkeypatch):
+    """Wrap the diameter's pair kernel; the returned list gets the number of
+    pairs each call evaluates, the size of its output."""
+    counts, kernel = [], harness._pair_squares
+
+    def counted(*args):
+        sq = kernel(*args)
+        counts.append(sq.size)
+        return sq
+
+    monkeypatch.setattr(harness, "_pair_squares", counted)
+    return counts
+
+
+def _full_scan_pairs(n):
+    # what the scan without pruning evaluates on n rows
+    block = harness._DIAMETER_BLOCK
+    return sum(min(block, n - i) * (n - i) for i in range(0, n, block))
+
+
+#: the bench's start points for spd-laplacian-1d(3)
+_LAPLACIAN3_POINTS = [
+    [-0.424, -1.95, -1.141], [-0.109, -1.429, -1.646], [1.391, 1.48, 1.64],
+    [0.749, 1.611, 1.273], [-1.226, -1.862, -1.652], [-1.803, -1.637, -0.965],
+    [-0.637, -1.875, -1.635], [-0.502, -1.694, -2.127],
+]
+
+
+@pytest.mark.parametrize("x", _LAPLACIAN3_POINTS)
+def test_pruning_skips_most_pairs_of_a_converging_flow(x, monkeypatch):
+    counts = _count_pairs(monkeypatch)
+    raw = {"scenario": "nr", "operator": {"kind": "spd-laplacian-1d", "size": 3},
+           "initial_point": x, "modulus": {"kind": "laplacian", "Lambda": 2},
+           "k_range": [0, 3], "grid_step": 0.25, "horizon_pad": 10.0, "tolerance": 1e-9}
+    report = run_experiment(ExperimentConfig.from_dict(raw))
+    assert report.passed
+    n = report.grid["points"]
+    assert n == 2921 and _full_scan_pairs(n) > 4.26e6
+    assert 0 < sum(counts) < 0.1 * _full_scan_pairs(n)
+
+
+def test_pruning_costs_no_pairs_on_a_sphere(rng, monkeypatch):
+    counts = _count_pairs(monkeypatch)
+    pts = _point_family("sphere", EXACT_DIAMETER_ROWS, 3, rng)
+    _suffix_diameters(pts, [0, 1024, 2048])
+    assert sum(counts) <= _full_scan_pairs(EXACT_DIAMETER_ROWS)
 
 
 # ------------------------------------------------- flow evaluation, multi-d

@@ -118,6 +118,26 @@ def test_quartic_zero_projection_is_clamp():
     assert op.zero_projection([-7.0]) == pytest.approx([-1.0])
 
 
+def _quartic_flow_reference(x0, ts):
+    # the out-of-place closed form exact_flow_many replaced, kept as the oracle
+    if -1.0 <= x0 <= 1.0:
+        return np.full((ts.shape[0], 1), x0)
+    if x0 > 1.0:
+        w = ((x0 - 1.0) ** -2 + 8.0 * ts) ** -0.5
+        return (1.0 + w)[:, None]
+    w = ((-x0 - 1.0) ** -2 + 8.0 * ts) ** -0.5
+    return (-1.0 - w)[:, None]
+
+
+@pytest.mark.parametrize("x0", [3.0, -2.995, 1 + 1e-7, 1e10, 0.5])
+def test_quartic_exact_flow_bits_match_reference(x0):
+    ts = np.concatenate([np.arange(0.0, 200.0, 0.25), [1e-300, 1e6, 1e300]])
+    got = make_quartic_well().exact_flow_many([x0], ts)
+    want = _quartic_flow_reference(x0, ts)
+    assert got.shape == want.shape == (ts.size, 1)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_quartic_resolvent_flat_zone():
     op = make_quartic_well()
     assert op.resolvent(1.0, [0.5]) == pytest.approx([0.5])
