@@ -139,9 +139,6 @@ class AlmostOrbit:
         flow = evaluate_oracle_many(self.operator, self.initial, ts)
         return flow + (self.c / (1.0 + ts))[:, None] * self.direction[None, :]
 
-    def evaluate(self, t: float) -> np.ndarray:
-        return self.evaluate_many([t])[0]
-
 
 def _harmonic_decay_rate(c: float) -> Callable[[int], int]:
     def phi(k: int) -> int:

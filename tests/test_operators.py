@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from accretive_flows import (
     AccretiveOperator,
     QuarticWell,
+    ResourceLimitError,
     ScaledIdentity,
     SPDLinear,
     dirichlet_laplacian_1d,
@@ -164,6 +166,60 @@ def test_quartic_resolvent_residual_property(x, gamma):
     op = make_quartic_well()
     z = float(op.resolvent(gamma, [x])[0])
     assert abs(z + gamma * float(op.value([z])[0]) - x) <= 1e-11
+
+
+def _quartic_root_reference(gamma, x):
+    """(Id + gamma A)^{-1} x to 60 digits: Newton in decimal on the cubic
+    4 gamma w^3 + w = |x| - 1 for w = |z| - 1, from above the root."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        g, x = Decimal(gamma), Decimal(x)
+        c = abs(x) - 1
+        if c <= 0:
+            return x
+        w = min(c, (c / (4 * g)) ** (Decimal(1) / 3))  # both bound the root
+        for _ in range(200):
+            step = (4 * g * w ** 3 + w - c) / (12 * g * w ** 2 + 1)
+            w -= step
+            if abs(step) <= w * Decimal("1e-55"):
+                break
+        return (1 + w).copy_sign(x)
+
+
+def _ulps_from(z, ref):
+    return abs(Decimal(z) - ref) / Decimal(math.ulp(float(ref)))
+
+
+def test_quartic_resolvent_matches_decimal_root_over_many_scales():
+    op = make_quartic_well()
+    for gamma in 10.0 ** np.arange(-9, 10):
+        for c in 10.0 ** np.arange(-12, 13):
+            for x in (1.0 + c, -1.0 - c):
+                z = float(op.resolvent(float(gamma), [x])[0])
+                assert _ulps_from(z, _quartic_root_reference(gamma, x)) <= 64, (gamma, x)
+
+
+# The step rounds u = asinh(1.5 (|x| - 1) sqrt(12 gamma)) / 3 to a double, and
+# sinh(u) carries that rounding: near |x| = 1e300, u is about 231, and its half
+# ulp alone is 64 to 128 ulps of the root.  Hence the wider bound on the last two.
+@pytest.mark.parametrize("gamma,x,ulps", [(1e-6, 1e6, 64), (1e6, 1e6, 64), (1e12, 3.0, 64),
+                                          (1e-12, 1.5, 64), (1.0, 1e200, 512),
+                                          (1.0, -1e300, 512)])
+def test_quartic_resolvent_far_from_the_flat_zone_is_the_root(gamma, x, ulps):
+    z = float(make_quartic_well().resolvent(gamma, [x])[0])
+    assert math.isfinite(z)
+    assert _ulps_from(z, _quartic_root_reference(gamma, x)) <= ulps
+
+
+@pytest.mark.parametrize("gamma,x", [(1e9, 1.7e308), (1e9, -1.7e308), (1e308, 3.0)])
+def test_quartic_resolvent_past_the_float_range_refuses_or_is_the_root(gamma, x):
+    # 1.5 (|x| - 1) sqrt(12 gamma) overflows; a step may refuse, never return inf or NaN
+    try:
+        z = float(make_quartic_well().resolvent(gamma, [x])[0])
+    except ResourceLimitError:
+        return
+    assert math.isfinite(z)
+    assert _ulps_from(z, _quartic_root_reference(gamma, x)) <= 64
 
 
 # ------------------------------------------------------------ shared contracts

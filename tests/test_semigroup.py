@@ -200,7 +200,7 @@ def test_exact_orbit_is_almost_orbit(scaled_identity):
     u = make_almost_orbit(scaled_identity, [2.0], 0.0, [1.0])
     assert all(u.rate_phi(k) == 0 for k in range(6))
     for t in (0.0, 1.0, 3.5):
-        assert u.evaluate(t) == pytest.approx(scaled_identity.exact_flow([2.0], t))
+        assert u.evaluate_many([t])[0] == pytest.approx(scaled_identity.exact_flow([2.0], t))
 
 
 ORBIT_CASES = [
@@ -220,13 +220,6 @@ def test_orbit_evaluate_many_is_flow_plus_decay(op, x, e):
         op.exact_flow(x, float(t)) + (c / (1.0 + t)) * np.asarray(e) for t in ts
     ])
     np.testing.assert_allclose(u.evaluate_many(ts), want, rtol=1e-13, atol=1e-15)
-
-
-@pytest.mark.parametrize("op,x,e", ORBIT_CASES, ids=lambda v: getattr(v, "name", None))
-def test_orbit_point_evaluation_is_the_one_row_batch(op, x, e):
-    u = make_almost_orbit(op, x, 0.75, e)
-    for t in (0.0, 0.3, 7.0):
-        assert np.array_equal(u.evaluate(t), u.evaluate_many([t])[0])
 
 
 @pytest.mark.parametrize("op,x,e", ORBIT_CASES, ids=lambda v: getattr(v, "name", None))
@@ -251,7 +244,7 @@ def test_orbit_direction_validation(scaled_identity):
 
 def _defect(u, s, t):
     """||u(t+s) - S(t)u(s)||, the defect of u against the exact flow."""
-    return norm(u.evaluate(t + s) - u.operator.exact_flow(u.evaluate(s), t))
+    return norm(u.evaluate_many([t + s])[0] - u.operator.exact_flow(u.evaluate_many([s])[0], t))
 
 
 def test_orbit_defect_triangle_bound(orbit_c1):
