@@ -17,6 +17,7 @@ the certificates, not the evaluator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Sequence
@@ -103,6 +104,9 @@ MAX_OPERATOR_DIM = 1024
 MAX_K = 10_000
 #: rows per block of the pairwise diameter scan; small blocks stay in cache
 _DIAMETER_BLOCK = 32
+#: 1-d points per slice of a suffix spread; a Cauchy grid is evaluated a
+#: slice at a time, so no array of the grid's length is allocated
+_SLICE_ROWS = 16_384
 #: relative margin of the diameter scan's pruning bound, far above rounding
 _PRUNE_MARGIN = 1e-9
 #: smallest positive and smallest normal double
@@ -235,34 +239,51 @@ class Report:
 
 def _suffix_diameters(points: np.ndarray, starts: Sequence[int]) -> list[float]:
     """Largest pairwise distance among the rows of ``points[s:]`` for every
-    ``s`` in ``starts``.
-
-    All suffixes come from one pass.  1-d data is exact through a reversed
-    running max and min.  For d > 1, ``_suffix_square_maxima`` scans the
-    pairs block by block and skips the blocks a triangle-inequality bound
-    rules out; it returns the same floats as a scan of every pair.  A d > 1
-    suffix longer than ``EXACT_DIAMETER_ROWS`` raises ResourceLimitError.
-    """
+    ``s`` in ``starts``: ``_suffix_extents`` of rows held in memory."""
     n, d = points.shape
+    return _suffix_extents(lambda i0, i1: points[i0:i1], n, d, starts)
+
+
+def _suffix_extents(rows: Callable[[int, int], np.ndarray], n: int, d: int,
+                    starts: Sequence[int]) -> list[float]:
+    """Largest pairwise distance among the points s to n - 1 for every ``s``
+    in ``starts``, where ``rows(i0, i1)`` gives points i0 to i1 - 1 as an
+    ``(i1 - i0, d)`` array.  No point before the first start is read.
+
+    All suffixes come from one pass.  1-d points are read in slices of
+    ``_SLICE_ROWS``; each slice folds into the max and min of its segments
+    between the starts and the slice edges, and a reversed running max and
+    min of the segments gives every suffix spread.  Max and min are exact and
+    carry NaN, so the spread is the float that max - min of the whole suffix
+    gives.  For d > 1, ``_suffix_square_maxima`` scans the pairs block by
+    block and skips the blocks a triangle-inequality bound rules out; it
+    returns the same floats as a scan of every pair.  A d > 1 suffix longer
+    than ``EXACT_DIAMETER_ROWS`` raises ResourceLimitError before any point
+    is read.
+    """
     cuts = sorted({s for s in starts if s < n - 1})
     exact = {}
     if cuts and d == 1:
-        col = points[:, 0]
-        spread = _suffix_reduce(np.maximum, col, cuts) - _suffix_reduce(np.minimum, col, cuts)
-        exact = dict(zip(cuts, spread.tolist()))
+        highs, lows, firsts = [], [], []
+        for i0 in range(cuts[0], n, _SLICE_ROWS):
+            i1 = min(i0 + _SLICE_ROWS, n)
+            seg = [i0] + [c for c in cuts if i0 < c < i1]
+            col, at = rows(i0, i1)[:, 0], [s - i0 for s in seg]
+            highs.append(np.maximum.reduceat(col, at))
+            lows.append(np.minimum.reduceat(col, at))
+            firsts += seg
+        high = np.maximum.accumulate(np.concatenate(highs)[::-1])[::-1]
+        low = np.minimum.accumulate(np.concatenate(lows)[::-1])[::-1]
+        at = np.searchsorted(firsts, cuts)
+        exact = dict(zip(cuts, (high[at] - low[at]).tolist()))
     elif cuts:
         m = cuts[0]
         if n - m > EXACT_DIAMETER_ROWS:
             raise ResourceLimitError(f"diameter of {n - m} points in R^{d} exceeds "
                                      f"{EXACT_DIAMETER_ROWS} rows")
-        sq = _suffix_square_maxima(points[m:], [c - m for c in cuts])
+        sq = _suffix_square_maxima(rows(m, n), [c - m for c in cuts])
         exact = dict(zip(cuts, np.sqrt(sq).tolist()))
     return [exact.get(s, 0.0) for s in starts]
-
-
-def _suffix_reduce(ufunc: np.ufunc, values: np.ndarray, cuts: list[int]) -> np.ndarray:
-    """``ufunc.reduce(values[c:])`` for each of the sorted ``cuts``."""
-    return ufunc.accumulate(ufunc.reduceat(values, cuts)[::-1])[::-1]
 
 
 def _suffix_square_maxima(points: np.ndarray, cuts: list[int]) -> np.ndarray:
@@ -353,15 +374,50 @@ def _grid_length(lo: float, hi: float, step: float) -> int | float:
         return math.inf
 
 
-def _capped_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """``np.arange(lo, hi + step / 2, step)``, refused before it is allocated
-    when it would hold more than ``MAX_GRID_POINTS`` points."""
+def _capped_length(lo: float, hi: float, step: float) -> int:
+    """``_grid_length(lo, hi, step)``, refused when it is more than
+    ``MAX_GRID_POINTS``."""
     n_points = _grid_length(lo, hi, step)
     if n_points > MAX_GRID_POINTS:
         raise ResourceLimitError(
             f"grid from {lo} to {hi} at step {step} needs {n_points} grid points"
         )
+    return n_points
+
+
+def _capped_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """``np.arange(lo, hi + step / 2, step)``, refused before it is allocated
+    when it would hold more than ``MAX_GRID_POINTS`` points."""
+    _capped_length(lo, hi, step)
     return np.arange(lo, hi + step / 2, step)
+
+
+def _grid_point(lo: float, step: float, i: int) -> float:
+    """Point ``i`` of ``np.arange(lo, stop, step)``: np.arange fills row 0
+    with lo, row 1 with lo + step and row i with lo + i * ((lo + step) - lo)."""
+    lo = float(lo)
+    if i < 2:
+        return lo + step if i else lo
+    return lo + i * ((lo + step) - lo)
+
+
+def _grid_index(lo: float, step: float, n: int, value: float) -> int:
+    """``np.searchsorted(grid, value)`` for the first ``n`` points ``grid``
+    of ``np.arange(lo, stop, step)``, by a binary search over
+    ``_grid_point``."""
+    return bisect_left(range(n), value, key=lambda i: _grid_point(lo, step, i))
+
+
+def _grid_rows(lo: float, step: float, i0: int, i1: int) -> np.ndarray:
+    """Points ``i0`` to ``i1 - 1`` of ``np.arange(lo, stop, step)``, bit for
+    bit, by the formula of ``_grid_point``; the grid is never built whole."""
+    lo = float(lo)
+    ts = np.arange(i0, i1, dtype=float)
+    ts *= (lo + step) - lo
+    ts += lo
+    for i in range(i0, min(i1, 2)):
+        ts[i - i0] = _grid_point(lo, step, i)
+    return ts
 
 
 def _window_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -478,6 +534,7 @@ def verify_flow_pairing_dip(
 def _verify_pairwise(
     scenario: str,
     curve_many: Callable[[np.ndarray], np.ndarray],
+    dim: int,
     threshold: Callable[[int], int],
     k_range: Sequence[int],
     grid_step: float,
@@ -485,6 +542,19 @@ def _verify_pairwise(
     tol: float,
     provenance: dict | None = None,
 ) -> Report:
+    """For every k, the largest distance between values of ``curve_many``, a
+    curve in R^dim, at points of the grid ``np.arange(t_lo, horizon +
+    grid_step / 2, grid_step)`` from threshold(k) on must be at most
+    1/(k+1) + tol; t_lo is the smallest threshold and horizon the largest
+    plus ``horizon_pad``.
+
+    The grid is never built whole.  Its length comes from np.arange's
+    formula and is capped by ``MAX_GRID_POINTS``, and each threshold's
+    first grid index comes from ``_grid_index``.  ``_suffix_extents``
+    then evaluates the curve from the first threshold on, on the grid rows
+    of ``_grid_rows``: in slices of ``_SLICE_ROWS`` for dim 1, and in one
+    call, refused beforehand beyond ``EXACT_DIAMETER_ROWS``, for dim > 1.
+    """
     ks = sorted(int(k) for k in k_range)
     thresholds = {k: int(threshold(k)) for k in ks}
     top = max(thresholds.values())
@@ -492,17 +562,18 @@ def _verify_pairwise(
         raise ResourceLimitError(f"threshold {top} exceeds cap {THRESHOLD_CAP}")
     t_lo = min(thresholds.values())
     horizon = top + horizon_pad
-    grid = _capped_grid(t_lo, horizon, grid_step)
-    points = curve_many(grid)
+    n_points = _capped_length(t_lo, horizon, grid_step)
     report = Report(
         scenario=scenario,
         provenance=dict(provenance or {}),
         # flow values come from exact oracles, so no evaluator error widens the slack
-        grid={"grid_step": grid_step, "horizon": float(horizon), "points": int(grid.size),
+        grid={"grid_step": grid_step, "horizon": float(horizon), "points": n_points,
               "err_bound": 0.0},
     )
-    starts = [int(np.searchsorted(grid, thresholds[k] - 1e-9)) for k in ks]
-    for k, extent in zip(ks, _suffix_diameters(points, starts)):
+    starts = [_grid_index(t_lo, grid_step, n_points, thresholds[k] - 1e-9) for k in ks]
+    extents = _suffix_extents(lambda i0, i1: curve_many(_grid_rows(t_lo, grid_step, i0, i1)),
+                              n_points, dim, starts)
+    for k, extent in zip(ks, extents):
         row = _row(k, thresholds[k], extent, tol, detail={"pairs": "exact"})
         report.rows.append(row)
         if row.status == FAIL:
@@ -525,6 +596,7 @@ def verify_cauchy_rate(
     return _verify_pairwise(
         scenario="cauchy-rate",
         curve_many=lambda ts: evaluate_oracle_many(op, x, ts),
+        dim=op.dim,
         threshold=threshold,
         k_range=k_range,
         grid_step=grid_step,
@@ -547,6 +619,7 @@ def verify_orbit_cauchy(
     return _verify_pairwise(
         scenario="orbit-cauchy",
         curve_many=u.evaluate_many,
+        dim=u.operator.dim,
         threshold=threshold,
         k_range=k_range,
         grid_step=grid_step,

@@ -99,8 +99,8 @@ class AccretiveOperator:
     def _check_chain(self, gamma, x, n) -> tuple[np.ndarray, int]:
         """Validated ``(x, n)`` for ``resolvent(gamma, x, n)``."""
         x = self._check_dim(x)
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < gamma < math.inf:  # NaN fails too
+            raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n must be an integer >= 1, got {n!r}")
         return x, int(n)

@@ -62,8 +62,8 @@ def cl_error_bound(t: float, speed: float, n: int) -> float:
 
 def steps_for_tolerance(t: float, speed: float, tol: float) -> int:
     """Smallest n in {4, 8, 16, ...} whose certificate meets ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"tol must be positive, got {tol!r}")
     n = 4
     while cl_error_bound(t, speed, n) > tol:
         n *= 2
@@ -91,10 +91,10 @@ def evaluate_semigroup(op: AccretiveOperator, x, t: float, tol: float) -> tuple[
     of the zero set are stationary and also returned exactly.
     """
     x = as_point(x)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 <= t < math.inf:  # NaN fails too
+        raise ValueError(f"t must be nonnegative and finite, got {t!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if t == 0.0:
         return x.copy(), 0.0
     speed = norm(op.value(x))

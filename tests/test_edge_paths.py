@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accretive_flows import (
     ExperimentConfig,
@@ -18,11 +20,22 @@ from accretive_flows import (
     norm,
     run_experiment,
     sample_graph_pairs,
+    dirichlet_laplacian_1d,
     verify_cauchy_rate,
+    verify_orbit_cauchy,
 )
 from accretive_flows import harness
 from accretive_flows.cli import parse_and_run, render_report
-from accretive_flows.harness import EXACT_DIAMETER_ROWS, _diameter, _suffix_diameters
+from accretive_flows.harness import (
+    EXACT_DIAMETER_ROWS,
+    _SLICE_ROWS,
+    _diameter,
+    _grid_index,
+    _grid_length,
+    _grid_point,
+    _grid_rows,
+    _suffix_diameters,
+)
 
 from accretivity import check_accretive
 
@@ -224,6 +237,124 @@ def test_pruning_costs_no_pairs_on_a_sphere(rng, monkeypatch):
     pts = _point_family("sphere", EXACT_DIAMETER_ROWS, 3, rng)
     _suffix_diameters(pts, [0, 1024, 2048])
     assert sum(counts) <= _full_scan_pairs(EXACT_DIAMETER_ROWS)
+
+
+# --------------------------------------------- streamed grids and 1-d folds
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+#: grid starts and steps: integer thresholds as the verifiers use, and any
+#: float; np.arange writes a start of -0.0 as it is, which lo + 0 * delta is not
+_LOS = st.one_of(st.just(-0.0), st.integers(0, 10**6).map(float),
+                 st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+_STEPS = st.floats(1e-3, 10.0)
+
+
+@given(_LOS, _STEPS, st.integers(1, 400), st.data())
+@settings(max_examples=300)
+def test_grid_rows_equal_arange_bit_for_bit(lo, step, length, data):
+    hi = lo + (length - 1) * step
+    grid = np.arange(lo, hi + step / 2, step)
+    n = _grid_length(lo, hi, step)
+    assert n == grid.size
+    i0 = data.draw(st.integers(0, n))
+    i1 = data.draw(st.integers(i0, n))
+    np.testing.assert_array_equal(_bits(_grid_rows(lo, step, i0, i1)), _bits(grid[i0:i1]))
+    # rows 0 and 1 are written apart from the fill formula
+    np.testing.assert_array_equal(_bits(_grid_rows(lo, step, 0, min(n, 2))), _bits(grid[:2]))
+    np.testing.assert_array_equal(_bits([_grid_point(lo, step, i) for i in range(n)]),
+                                  _bits(grid))
+
+
+@given(_LOS, _STEPS, st.integers(1, 400), st.data())
+@settings(max_examples=300)
+def test_grid_index_equals_searchsorted(lo, step, length, data):
+    hi = lo + (length - 1) * step
+    grid = np.arange(lo, hi + step / 2, step)
+    j = data.draw(st.integers(0, grid.size - 1))
+    # on a grid point, just below one as the verifiers ask, and anywhere
+    values = [grid[j], grid[j] - 1e-9, np.nextafter(grid[j], -np.inf),
+              data.draw(st.floats(lo - 2 * step, hi + 2 * step))]
+    for value in values:
+        assert _grid_index(lo, step, grid.size, value) == np.searchsorted(grid, value)
+
+
+def _fold_cases(n):
+    edges = [_SLICE_ROWS * j + o for j in range(1, n // _SLICE_ROWS + 1) for o in (-1, 0, 1)]
+    # unsorted, repeated, at slice edges, at n - 2, n - 1 and past the end
+    return [0, 0, 1, 5, 300] + [e for e in edges if e <= n] + [n - 2, n - 1, n - 1, n, 3]
+
+
+@pytest.mark.parametrize("n", [_SLICE_ROWS - 1, _SLICE_ROWS, _SLICE_ROWS + 1])
+def test_suffix_spreads_at_slice_size_match_reference(rng, n):
+    assert _SLICE_ROWS == 16_384
+    pts = rng.normal(size=(n, 1))
+    for row in range(_SLICE_ROWS - 2, min(n, _SLICE_ROWS + 2)):  # extremes at the slice edge
+        pts[row, 0] = (-1) ** row * (row - _SLICE_ROWS + 10)
+    starts = _fold_cases(n)
+    assert _suffix_diameters(pts, starts) == [_diameter_reference(pts[s:]) for s in starts]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_suffix_spreads_with_a_non_finite_row_match_reference(rng, where, value):
+    n = 3 * _SLICE_ROWS + 77
+    pts = rng.normal(size=(n, 1))
+    row = {"first": 7, "middle": _SLICE_ROWS + 11, "last": n - 3}[where]
+    pts[row, 0] = value
+    starts = _fold_cases(n) + [row, row + 1]
+    got = _suffix_diameters(pts, starts)
+    want = [_diameter_reference(pts[s:]) for s in starts]
+    np.testing.assert_array_equal(got, want)
+    assert [math.isnan(v) or math.isinf(v) for v in got] == [s <= row for s in starts[:-2]] + [
+        True, False]
+
+
+def test_streamed_cauchy_check_equals_the_full_grid(orbit_c1):
+    # 20,001 grid points: two slices, the second partial; threshold 4099 cuts
+    # at row 16,384, the edge between them
+    thresholds = {0: 3, 1: 10, 2: 4099, 3: 4100}
+    report = verify_orbit_cauchy(orbit_c1, thresholds.get, range(4), grid_step=0.25,
+                                 horizon_pad=903.0)
+    grid = np.arange(3, 4100 + 903.0 + 0.125, 0.25)
+    assert report.grid["points"] == grid.size == 20_001 > _SLICE_ROWS
+    points = orbit_c1.evaluate_many(grid)
+    want = [_diameter_reference(points[np.searchsorted(grid, thresholds[k] - 1e-9):])
+            for k in range(4)]
+    assert [row.worst_observed for row in report.rows] == want
+
+
+def test_multi_d_cauchy_suffix_is_refused_before_any_row_is_evaluated():
+    # 100,001 rows in R^16: 12.8 MB for each flow temporary
+    op = make_spd_linear(dirichlet_laplacian_1d(16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"100001 points in R\^16 exceeds 4096"):
+            verify_cauchy_rate(op, [1.0] * 16, lambda k: 0, [0], horizon_pad=25000.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name, k_range, points", [
+    ("nr_quartic.json", [0, 7], 786_281),
+    ("xu_roc_scaled_identity.json", [0, 5], 102_221),
+])
+def test_long_cauchy_grids_are_checked_in_bounded_memory(name, k_range, points):
+    # one float64 array of grid length is 6.3 MB on the quartic grid, 0.8 MB on xu-roc's
+    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    cfg = ExperimentConfig.from_dict({**raw, "k_range": k_range})
+    tracemalloc.start()
+    try:
+        report = run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.grid["points"] == points
+    assert peak < 2 << 20
 
 
 # ------------------------------------------------- flow evaluation, multi-d

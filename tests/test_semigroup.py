@@ -107,6 +107,32 @@ def test_evaluate_semigroup_validation(scaled_identity):
         evaluate_semigroup(scaled_identity, [1.0], 1.0, 0.0)
 
 
+def test_scaled_identity_chain_refuses_a_nan_step():
+    with pytest.raises(ValueError, match="gamma must be positive and finite, got nan"):
+        make_scaled_identity(1.0, 2).resolvent(math.nan, [1.0, 2.0], 3)
+
+
+def test_spd_chain_refuses_an_infinite_step():
+    with pytest.raises(ValueError, match="gamma must be positive and finite, got inf"):
+        make_spd_linear(dirichlet_laplacian_1d(2)).resolvent(math.inf, [1.0, 2.0], 2)
+
+
+def test_quartic_chain_refuses_a_nan_step():
+    # not the overflow refusal that a NaN step used to reach
+    with pytest.raises(ValueError, match="gamma must be positive and finite, got nan"):
+        make_quartic_well().resolvent(math.nan, [3.0])
+
+
+def test_evaluate_semigroup_refuses_a_nan_time(scaled_identity):
+    with pytest.raises(ValueError, match="t must be nonnegative and finite, got nan"):
+        evaluate_semigroup(scaled_identity, [1.0], math.nan, 0.1)
+
+
+def test_evaluate_semigroup_refuses_a_nan_tolerance(scaled_identity):
+    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+        evaluate_semigroup(scaled_identity, [1.0], 1.0, math.nan)
+
+
 # ------------------------------------------------------------------- oracles
 
 def test_oracle_values():
