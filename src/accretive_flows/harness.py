@@ -107,6 +107,11 @@ _DIAMETER_BLOCK = 32
 #: 1-d points per slice of a suffix spread; a Cauchy grid is evaluated a
 #: slice at a time, so no array of the grid's length is allocated
 _SLICE_ROWS = 16_384
+#: rows read at each end of a monotone 1-d segment before its interior
+_END_ROWS = 64
+#: monotone 1-d segments of fewer rows are folded whole: reading the ends
+#: first costs two more curve calls, as much as folding 2,000-3,000 rows
+_END_READ_MIN = 2048
 #: relative margin of the diameter scan's pruning bound, far above rounding
 _PRUNE_MARGIN = 1e-9
 #: smallest positive and smallest normal double
@@ -245,12 +250,12 @@ def _suffix_diameters(points: np.ndarray, starts: Sequence[int]) -> list[float]:
 
 
 def _suffix_extents(rows: Callable[[int, int], np.ndarray], n: int, d: int,
-                    starts: Sequence[int]) -> list[float]:
+                    starts: Sequence[int], monotone: bool = False) -> list[float]:
     """Largest pairwise distance among the points s to n - 1 for every ``s``
     in ``starts``, where ``rows(i0, i1)`` gives points i0 to i1 - 1 as an
     ``(i1 - i0, d)`` array.  No point before the first start is read.
 
-    All suffixes come from one pass.  1-d points are read in slices of
+    All suffixes come from one pass.  1-d points are folded in slices of
     ``_SLICE_ROWS``; each slice folds into the max and min of its segments
     between the starts and the slice edges, and a reversed running max and
     min of the segments gives every suffix spread.  Max and min are exact and
@@ -260,18 +265,56 @@ def _suffix_extents(rows: Callable[[int, int], np.ndarray], n: int, d: int,
     returns the same floats as a scan of every pair.  A d > 1 suffix longer
     than ``EXACT_DIAMETER_ROWS`` raises ResourceLimitError before any point
     is read.
+
+    ``monotone`` promises 1-d points that are within 1e-12 relative of
+    exact values monotone in the row index wherever they are normal floats
+    (``AccretiveOperator.monotone_flow``).  Then a segment between starts of
+    at least ``_END_READ_MIN`` rows is read at its first and last
+    ``_END_ROWS`` rows first.  Let v_p and v_q be the two innermost values
+    read, M = max(|v_p|, |v_q|) and h = 4 * _PRUNE_MARGIN * M.  Every
+    interior exact value lies between the exact values at p and q, so every
+    interior point is below max(v_p, v_q) + h and above min(v_p, v_q) - h:
+    rounding moves each value by about 1e-12 * M, and a subnormal one by a
+    few 2**-1074, both far below h once M is normal.  So when M is finite
+    and normal, max(v_p, v_q) + h <= the largest value read and min(v_p,
+    v_q) - h >= the smallest, the interior holds neither extreme of the
+    segment and is not read; each spread is still the same float.
+    Otherwise (flat, subnormal or non-finite ends) the interior joins the
+    fold, so every row is read once.
     """
     cuts = sorted({s for s in starts if s < n - 1})
     exact = {}
     if cuts and d == 1:
         highs, lows, firsts = [], [], []
-        for i0 in range(cuts[0], n, _SLICE_ROWS):
-            i1 = min(i0 + _SLICE_ROWS, n)
-            seg = [i0] + [c for c in cuts if i0 < c < i1]
-            col, at = rows(i0, i1)[:, 0], [s - i0 for s in seg]
-            highs.append(np.maximum.reduceat(col, at))
-            lows.append(np.minimum.reduceat(col, at))
-            firsts += seg
+
+        def fold(a: int, b: int) -> None:
+            for i0 in range(a, b, _SLICE_ROWS):
+                i1 = min(i0 + _SLICE_ROWS, b)
+                seg = [i0] + [c for c in cuts if i0 < c < i1]
+                col, at = rows(i0, i1)[:, 0], [s - i0 for s in seg]
+                highs.append(np.maximum.reduceat(col, at))
+                lows.append(np.minimum.reduceat(col, at))
+                firsts.extend(seg)
+
+        segments = zip(cuts, cuts[1:] + [n]) if monotone else ()
+        done = cuts[0]  # rows before this one are read or skipped
+        for a, b in segments:
+            if b - a < _END_READ_MIN:
+                continue
+            fold(done, a)
+            done = b
+            ends = np.concatenate([rows(a, a + _END_ROWS), rows(b - _END_ROWS, b)])[:, 0]
+            hi, lo = ends.max(), ends.min()  # NaN if any end is NaN
+            highs.append(np.array([hi]))
+            lows.append(np.array([lo]))
+            firsts.append(a)
+            p, q = ends[_END_ROWS - 1], ends[_END_ROWS]
+            m = max(abs(p), abs(q))
+            h = 4.0 * _PRUNE_MARGIN * m
+            if not (_FLOAT_MIN_NORMAL <= m < math.inf
+                    and max(p, q) + h <= hi and min(p, q) - h >= lo):
+                fold(a + _END_ROWS, b - _END_ROWS)
+        fold(done, n)
         high = np.maximum.accumulate(np.concatenate(highs)[::-1])[::-1]
         low = np.minimum.accumulate(np.concatenate(lows)[::-1])[::-1]
         at = np.searchsorted(firsts, cuts)
@@ -541,6 +584,7 @@ def _verify_pairwise(
     horizon_pad: float,
     tol: float,
     provenance: dict | None = None,
+    monotone: bool = False,
 ) -> Report:
     """For every k, the largest distance between values of ``curve_many``, a
     curve in R^dim, at points of the grid ``np.arange(t_lo, horizon +
@@ -554,6 +598,13 @@ def _verify_pairwise(
     then evaluates the curve from the first threshold on, on the grid rows
     of ``_grid_rows``: in slices of ``_SLICE_ROWS`` for dim 1, and in one
     call, refused beforehand beyond ``EXACT_DIAMETER_ROWS``, for dim > 1.
+
+    ``monotone`` says the 1-d curve is monotone in t up to rounding far
+    below ``_PRUNE_MARGIN`` (``AccretiveOperator.monotone_flow``).  Grid
+    rows are non-decreasing in t, so its values are monotone in the row
+    index, and ``_suffix_extents`` reads only the ends of each long segment
+    between thresholds whose interior cannot hold an extreme.  Every spread
+    is the same float as from a full read.
     """
     ks = sorted(int(k) for k in k_range)
     thresholds = {k: int(threshold(k)) for k in ks}
@@ -572,7 +623,7 @@ def _verify_pairwise(
     )
     starts = [_grid_index(t_lo, grid_step, n_points, thresholds[k] - 1e-9) for k in ks]
     extents = _suffix_extents(lambda i0, i1: curve_many(_grid_rows(t_lo, grid_step, i0, i1)),
-                              n_points, dim, starts)
+                              n_points, dim, starts, monotone)
     for k, extent in zip(ks, extents):
         row = _row(k, thresholds[k], extent, tol, detail={"pairs": "exact"})
         report.rows.append(row)
@@ -603,6 +654,7 @@ def verify_cauchy_rate(
         horizon_pad=horizon_pad,
         tol=tol,
         provenance={"operator": op.name, **getattr(threshold, "provenance", {})},
+        monotone=op.monotone_flow,
     )
 
 
@@ -626,6 +678,7 @@ def verify_orbit_cauchy(
         horizon_pad=horizon_pad,
         tol=tol,
         provenance=provenance or {},
+        monotone=u.monotone_flow,
     )
 
 

@@ -27,6 +27,7 @@ harness.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,10 +51,21 @@ class AccretiveOperator:
     """Base interface; instances are immutable and all methods are pure.
 
     Subclasses implement the row-batched methods; the one-point forms here
-    are row 0 of a one-row batch."""
+    are row 0 of a one-row batch.
+
+    ``monotone_flow`` opts a class in to the Cauchy verifiers' end-read of
+    1-d segments (``harness._suffix_extents``).  On R every orbit of an
+    accretive operator is monotone: S(t) fixes each zero and is
+    nonexpansive, so the orbit moves towards the zero set and never crosses
+    a zero.  A class may set the flag only if its 1-d ``exact_flow_many``
+    is, at every time where its value is a normal float, within 1e-12
+    relative of a formula that is monotone in t (products, powers and
+    same-signed sums of a few accurately rounded terms are).
+    """
 
     name: str = "abstract"
     dim: int = 0
+    monotone_flow: bool = False
 
     def resolvent(self, gamma: float, x, n: int = 1) -> np.ndarray:
         """(Id + gamma A)^{-n} x: ``n`` implicit-Euler steps of size
@@ -113,6 +125,8 @@ class ScaledIdentity(AccretiveOperator):
     flow S(t)x = exp(-alpha t) x.
     """
 
+    monotone_flow = True
+
     def __init__(self, alpha: float, dim: int):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -144,7 +158,8 @@ class ScaledIdentity(AccretiveOperator):
         return np.exp(-self.alpha * ts)[:, None] * x[None, :]
 
     def graph_norm_bound(self, radius):
-        return int(math.ceil(max(1.0, self.alpha) * radius))
+        # exact: the float product alpha * radius may round below the true one
+        return math.ceil(max(1, Fraction(self.alpha)) * Fraction(radius))
 
 
 class SPDLinear(AccretiveOperator):
@@ -155,6 +170,8 @@ class SPDLinear(AccretiveOperator):
     V^T x and the flow exp(-tM) x are evaluated through the
     eigendecomposition M = V diag(lambda) V^T.
     """
+
+    monotone_flow = True
 
     def __init__(self, M):
         M = np.asarray(M, dtype=float)
@@ -216,6 +233,8 @@ class QuarticWell(AccretiveOperator):
     w = (2/r) sinh(asinh(1.5 (|x| - 1) r) / 3) with r = sqrt(12 gamma)
     (Nickalls, Math. Gazette 1993).  A chain takes that root n times.
     """
+
+    monotone_flow = True
 
     def __init__(self):
         self.dim = 1

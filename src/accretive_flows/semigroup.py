@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -139,12 +140,31 @@ class AlmostOrbit:
         flow = evaluate_oracle_many(self.operator, self.initial, ts)
         return flow + (self.c / (1.0 + ts))[:, None] * self.direction[None, :]
 
+    @property
+    def monotone_flow(self) -> bool:
+        """The ``AccretiveOperator.monotone_flow`` promise for u on R.
+
+        S(t)x moves monotonically from x to Px, the nearest zero, and
+        c/(1+t) e shrinks towards 0.  If c = 0, or Px e >= 0 and (x - Px) e
+        >= 0, both terms move the same way, so u is monotone, and the two
+        terms have the same sign, so their sum adds no cancellation."""
+        if not self.operator.monotone_flow:
+            return False
+        if self.c == 0:
+            return True
+        x, e = self.initial, self.direction
+        p = self.operator.zero_projection(x)
+        return float(p @ e) >= 0 and float((x - p) @ e) >= 0
+
 
 def _harmonic_decay_rate(c: float) -> Callable[[int], int]:
+    two_c = 2 * Fraction(c)
+    num, den = two_c.numerator, two_c.denominator
+
     def phi(k: int) -> int:
-        # smallest integer s with 2c/(1+s) <= 1/(k+1); the tiny guard only
-        # absorbs float noise on integer-valued 2c(k+1)-1
-        return max(0, math.ceil(2.0 * c * (k + 1) - 1.0 - 1e-9))
+        # smallest integer s with 2c/(1+s) <= 1/(k+1): the exact ceiling of
+        # 2c(k+1) - 1 = (num (k+1) - den) / den, in integers
+        return max(0, -((den - num * (k + 1)) // den))
 
     phi.label = f"harmonic-defect(c={c:g})"
     return phi

@@ -14,6 +14,7 @@ from accretive_flows import (
     check_full_modulus,
     evaluate_semigroup,
     full_modulus_linear,
+    make_almost_orbit,
     make_quartic_well,
     make_scaled_identity,
     make_spd_linear,
@@ -28,6 +29,8 @@ from accretive_flows import harness
 from accretive_flows.cli import parse_and_run, render_report
 from accretive_flows.harness import (
     EXACT_DIAMETER_ROWS,
+    _END_READ_MIN,
+    _END_ROWS,
     _SLICE_ROWS,
     _diameter,
     _grid_index,
@@ -35,7 +38,9 @@ from accretive_flows.harness import (
     _grid_point,
     _grid_rows,
     _suffix_diameters,
+    _suffix_extents,
 )
+from accretive_flows.operators import AccretiveOperator, QuarticWell, ScaledIdentity
 
 from accretivity import check_accretive
 
@@ -324,6 +329,154 @@ def test_streamed_cauchy_check_equals_the_full_grid(orbit_c1):
     want = [_diameter_reference(points[np.searchsorted(grid, thresholds[k] - 1e-9):])
             for k in range(4)]
     assert [row.worst_observed for row in report.rows] == want
+
+
+#: segment lengths: a cut inside an end chunk or near it, the end-read's
+#: edge, and long segments
+_GAPS = st.one_of(st.integers(0, 3 * _END_ROWS),
+                  st.sampled_from([_END_READ_MIN + o for o in (-1, 0, 1)]),
+                  st.integers(0, 6000))
+
+
+def _monotone_rows(data, n):
+    """Sorted values (so exactly monotone, with ties) of one scale, steep at
+    one end and flat at the other for a large power, with optional +-inf
+    and NaN rows sorted to the ends, then an optional relative jitter of
+    1e-12, which the pruning margin must absorb."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    spread = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1.0, 1e10]))
+    scale = data.draw(st.sampled_from([1.0, -1.0, 1e-300, 1e-310, 0.0, -1e290]))
+    power = data.draw(st.sampled_from([1, 16, 256]))
+    vals = scale * (1.0 + spread * rng.random(n) ** power)
+    for value in (math.inf, -math.inf, math.nan):
+        vals[rng.integers(0, n, data.draw(st.sampled_from([0, 0, 1, 100])))] = value
+    vals = np.sort(vals)
+    if data.draw(st.booleans()):
+        vals = vals[::-1]
+    if data.draw(st.sampled_from([False, True, True])):
+        vals *= 1.0 + 1e-12 * rng.uniform(-1.0, 1.0, n)
+    return vals[:, None]
+
+
+@given(st.lists(_GAPS, min_size=1, max_size=8),
+       st.one_of(st.integers(1, 300), st.integers(_END_READ_MIN, 6000)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_end_read_suffix_spreads_equal_the_full_read(gaps, tail, data):
+    cuts = np.cumsum(gaps).tolist()
+    n = cuts[-1] + tail
+    pts = _monotone_rows(data, n)
+    read = []
+
+    def rows(i0, i1):
+        read.extend(range(i0, i1))
+        return pts[i0:i1]
+
+    starts = cuts + [n - 1, n]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got = _suffix_extents(rows, n, 1, starts, monotone=True)
+        want = [_diameter_reference(pts[s:]) for s in starts]
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert len(read) == len(set(read))  # no row is read twice
+    first = min(cuts + [n - 1])  # no row before the first start is read
+    if first < n - 1 and (pts[first:] == pts[first]).all():  # a flat curve is read in full
+        assert sorted(read) == list(range(first, n))
+
+
+@pytest.mark.parametrize("flat_end", ["head", "tail"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_end_read_keeps_the_interior_next_to_a_flat_end(flat_end, sign):
+    # flat up to a 1e-12 jitter, then rising over the last 100 rows: the
+    # jittered interior passes the flat end's extreme, so it must be read
+    n = 3000
+    rise = 1e-6 * np.maximum(np.arange(n) - (n - 100), 0)
+    vals = sign * (1.0 + rise) * (1.0 + 1e-12 * np.random.default_rng(5).uniform(-1, 1, n))
+    pts = (vals if flat_end == "head" else vals[::-1])[:, None]
+    flat_extreme = np.argmin(pts) if sign > 0 else np.argmax(pts)  # the flat part is low if > 0
+    assert _END_ROWS <= flat_extreme < n - _END_ROWS
+    got = _suffix_extents(lambda i0, i1: pts[i0:i1], n, 1, [0, 1], monotone=True)
+    assert _bits(got).tolist() == _bits([_diameter_reference(pts[s:]) for s in (0, 1)]).tolist()
+
+
+def _flow_curve(data):
+    """``(operator, start)`` for an opted-in 1-d operator, or ``(u, None)``
+    for an almost-orbit on it with e = +-1, which opts in only when it
+    moves with the flow."""
+    kind = data.draw(st.sampled_from(["scaled-identity", "spd-1x1", "quartic"]))
+    if kind == "quartic":
+        op = make_quartic_well()
+        x = data.draw(st.one_of(st.floats(-1.0, 1.0), st.floats(-8.0, 8.0)))
+    else:
+        rate = data.draw(st.floats(1e-3, 2.0))
+        op = make_scaled_identity(rate, 1) if kind == "scaled-identity" else make_spd_linear([[rate]])
+        x = data.draw(st.floats(-1e3, 1e3))
+    assert op.monotone_flow
+    c = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+    e = data.draw(st.sampled_from([1.0, -1.0, None]))
+    if e is None:
+        return op, [x]
+    u = make_almost_orbit(op, [x], c, [e])
+    p = float(op.zero_projection([x])[0])
+    assert u.monotone_flow == (c == 0 or (p * e >= 0 and (x - p) * e >= 0))
+    return u, None
+
+
+@given(st.dictionaries(st.integers(0, 7), st.integers(0, 300), min_size=1, max_size=6),
+       st.floats(0.02, 0.5), st.floats(0.0, 40.0), st.data())
+@settings(max_examples=150, deadline=None)
+def test_monotone_cauchy_checks_equal_the_full_grid(thresholds, step, pad, data):
+    curve, x = _flow_curve(data)
+    if x is None:
+        report = verify_orbit_cauchy(curve, thresholds.get, thresholds, step, pad)
+        many = curve.evaluate_many
+    else:
+        report = verify_cauchy_rate(curve, x, thresholds.get, thresholds, step, pad)
+        many = lambda ts: curve.exact_flow_many(x, ts)  # noqa: E731
+    grid = np.arange(min(thresholds.values()), max(thresholds.values()) + pad + step / 2, step)
+    points = many(grid)
+    want = [_diameter_reference(points[np.searchsorted(grid, thresholds[k] - 1e-9):])
+            for k in sorted(thresholds)]
+    np.testing.assert_array_equal(_bits([row.worst_observed for row in report.rows]), _bits(want))
+
+
+def _count_flow_rows(monkeypatch, cls):
+    rows = [0]
+    flow = cls.exact_flow_many
+
+    def counted(self, x, ts):
+        rows[0] += len(ts)
+        return flow(self, x, ts)
+
+    monkeypatch.setattr(cls, "exact_flow_many", counted)
+    return rows
+
+
+@pytest.mark.parametrize("name, k_range, cls", [
+    ("nr_quartic.json", [0, 7], QuarticWell),
+    ("xu_roc_scaled_identity.json", [0, 5], ScaledIdentity),
+])
+def test_long_monotone_cauchy_grids_read_only_segment_ends(monkeypatch, name, k_range, cls):
+    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    rows = _count_flow_rows(monkeypatch, cls)
+    report = run_experiment(ExperimentConfig.from_dict({**raw, "k_range": k_range}))
+    assert report.passed and report.grid["points"] > 100_000
+    assert rows[0] <= 2048
+
+
+class _UnmarkedQuartic(AccretiveOperator):
+    """The quartic well's flow on an operator that does not opt in."""
+
+    name, dim = "unmarked-quartic", 1
+    exact_flow_many = QuarticWell.exact_flow_many
+
+
+def test_cauchy_check_without_the_opt_in_reads_every_row(monkeypatch):
+    assert not _UnmarkedQuartic.monotone_flow
+    rows = _count_flow_rows(monkeypatch, _UnmarkedQuartic)
+    thresholds = {0: 48, 1: 768, 2: 3888}
+    plain = verify_cauchy_rate(_UnmarkedQuartic(), [3.0], thresholds.get, range(3))
+    assert rows[0] == plain.grid["points"] == 15_401
+    marked = verify_cauchy_rate(make_quartic_well(), [3.0], thresholds.get, range(3))
+    assert marked.to_dict()["rows"] == plain.to_dict()["rows"]
 
 
 def test_multi_d_cauchy_suffix_is_refused_before_any_row_is_evaluated():

@@ -74,6 +74,15 @@ def test_scaled_identity_validation():
         op.resolvent(1.0, [1.0, 2.0, 3.0])
 
 
+def test_scaled_identity_graph_bound_is_the_exact_ceiling():
+    # alpha * 5 = 39.0000000000000036 exactly, which the float product rounds to 39
+    alpha = 7.800000000000001
+    assert alpha * 5 == 39.0
+    assert make_scaled_identity(alpha, 1).graph_norm_bound(5) == 40
+    assert make_scaled_identity(0.5, 1).graph_norm_bound(2.5) == 3  # max(1, alpha) = 1
+    assert make_scaled_identity(2.0, 3).graph_norm_bound(3) == 6
+
+
 # ----------------------------------------------------------------- SPD linear
 
 def test_spd_scalar_case():

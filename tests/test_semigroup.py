@@ -261,6 +261,14 @@ def test_perturbed_orbit_rate(orbit_c1):
     assert [orbit_c1.rate_phi(k) for k in range(5)] == [1, 3, 5, 7, 9]
 
 
+def test_perturbed_orbit_rate_is_the_exact_ceiling(scaled_identity):
+    # 2c(k+1) - 1 = 7.0000000002, ... lies just above an integer; a float
+    # guard below the ceiling gave 7, 15, 23, 31
+    u = make_almost_orbit(scaled_identity, [2.0], 4.0000000001, [1.0])
+    assert [u.rate_phi(k) for k in range(4)] == [8, 16, 24, 32]
+    assert make_almost_orbit(scaled_identity, [2.0], 0.25, [1.0]).rate_phi(0) == 0
+
+
 def test_orbit_direction_validation(scaled_identity):
     with pytest.raises(ValueError, match="unit"):
         make_almost_orbit(scaled_identity, [2.0], 1.0, [2.0])
