@@ -1,10 +1,10 @@
 """Accretive gradient flows with certified convergence and metastability rates.
 
-The library evaluates the nonlinear semigroup generated by an accretive
-operator through iterated resolvents (with a-posteriori error certificates),
-computes quantitative zero-gap moduli for the operator, assembles certified
-Cauchy/metastability thresholds from them, and verifies every certificate
-empirically against closed-form flow oracles.
+The library computes quantitative zero-gap moduli for an accretive operator,
+assembles certified Cauchy/metastability thresholds from them, and verifies
+every certificate empirically against the operator's closed-form flow.  An
+iterated-resolvent evaluator with a-posteriori error certificates is kept
+too; no report uses it, and only the ``euler-chain`` bench workload runs it.
 """
 
 from .errors import ConfigurationError, ResourceLimitError
@@ -51,8 +51,6 @@ from .moduli import (
 )
 from .rates import (
     CertifiedThreshold,
-    ConstantFunctional,
-    ConstantGraphBound,
     FromRateFunctional,
     NRInputs,
     XuInputs,

@@ -50,7 +50,6 @@ from .operators import (
 from .rates import (
     THRESHOLD_CAP,
     CertifiedThreshold,
-    ConstantFunctional,
     FromRateFunctional,
     NRInputs,
     XuInputs,
@@ -887,7 +886,6 @@ _OMEGAS = {
 _FUNCTIONALS = {
     "orbit-rate": ("none", lambda s: None),
     "from-rate": ("rate (rate expression)", lambda s: FromRateFunctional(s.rate("rate"))),
-    "constant": ("value (integer >= 0)", lambda s: ConstantFunctional(s.int("value", least=0))),
 }
 
 

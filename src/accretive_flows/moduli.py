@@ -265,10 +265,6 @@ class FullModulusReport:
     per_k: list[dict] = field(default_factory=list)
     violations: list[dict] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
 
 def _pairs_from_points(op: AccretiveOperator, points, K: float):
     X = np.asarray(points, dtype=float)

@@ -177,7 +177,7 @@ class SPDLinear(AccretiveOperator):
         M = np.asarray(M, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("M must be a square matrix")
-        if not np.allclose(M, M.T, atol=1e-12):
+        if not np.array_equal(M, M.T):
             raise ValueError("M must be symmetric")
         try:
             np.linalg.cholesky(M)
@@ -191,10 +191,6 @@ class SPDLinear(AccretiveOperator):
     @property
     def lambda_min(self) -> float:
         return float(self.eigenvalues[0])
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
 
     def resolvent(self, gamma, x, n=1):
         """The exact n-chain V diag((1 + gamma lambda)^{-n}) V^T x."""
@@ -219,7 +215,10 @@ class SPDLinear(AccretiveOperator):
         return (np.exp(-np.outer(ts, self.eigenvalues)) * coeff[None, :]) @ V.T
 
     def graph_norm_bound(self, radius):
-        return int(math.ceil(max(1.0, self.lambda_max) * radius))
+        # ||M||_2 <= the largest absolute row sum, summed exactly: an
+        # eigvalsh estimate of lambda_max may lie below the true value
+        row_sum = max(sum(abs(Fraction(v)) for v in row) for row in self.M.tolist())
+        return math.ceil(max(1, row_sum) * Fraction(radius))
 
 
 class QuarticWell(AccretiveOperator):

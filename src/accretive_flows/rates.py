@@ -17,34 +17,32 @@ Core building blocks
   reachable through graph approximants bounded by a nondecreasing f:
   threshold(k) = chi_{b_k}(Omega_w(K_k, id)(6k+5)) with
   b_k = dist_bound + norm_bound + f(3k+2) and K_k = f(3k+2) + 2 p_norm.
-* ``zero_gap_threshold`` (Omega_s): time after which the flow started at
+* ``zero_gap_threshold`` (Omega): time after which the flow started at any
   u(s) has zero gap <= 1/(k+1):
-  chi(Omega_w(K_{s,k}, id)(3k+2)) with chi = pairing_dip_rate(B+1) and
-  K_{s,k} = max(f_s(omega(B+1, 3k+2)), B+1+p_norm).
+  chi(Omega_w(K, id)(3k+2)) with chi = pairing_dip_rate(B+1) and
+  K = max(G, B+1+p_norm), where G bounds the graph pair at every u(s).
 * ``zero_gap_metastability_bound`` (Gamma'), ``orbit_metastability_bound``
   (Gamma): metastability bounds for ||u - Pu|| and for the orbit itself,
   assembled from the combinators
 
-      g(m)    = Omega_m(3k+2) + f(m + Omega_m(3k+2)),
+      g(m)    = Omega(3k+2) + f(m + Omega(3k+2)),
       h_N(n)  = f(max(N, n)) + max(N, n) - n,
       j(n)    = max(n, Phi(8k+7, h_n)) - n,
-      Gamma'(k, f) = Phi(omega(B, 3k+2), g)
-                     + max{ Omega_m(3k+2) : m <= Phi(omega(B, 3k+2), g) },
+      Gamma'(k, f) = Omega(3k+2) + Phi(omega(B, 3k+2), g),
       Gamma(k, f)  = max{ Gamma'(8k+7, j),
                           Phi(8k+7, h_N) : N <= Gamma'(8k+7, j) },
 
   where Phi(k, f) bounds some n <= Phi(k, f) with
-  ||S(t)u(n) - u(t+n)|| <= 1/(k+1) for all t in [0, f(n)].  Omega_m
-  depends on m only through the graph bound f_m, so when f_s is the same
-  for every s (a ``ConstantGraphBound``, as ``XuInputs.from_orbit`` builds)
-  every Omega_m equals Omega_0 and the max over m in Gamma' is Omega_0
-  exactly; likewise the max over N in Gamma is Phi(8k+7, f) when Phi
+  ||S(t)u(n) - u(t+n)|| <= 1/(k+1) for all t in [0, f(n)].  Xu's general
+  Gamma' adds the max of Omega_m over m <= Phi(omega(B, 3k+2), g), where
+  Omega_m may depend on m through a graph bound f_m; with the one bound G
+  that max is Omega.  The max over N in Gamma is Phi(8k+7, f) when Phi
   ignores its counterfunction.
 * ``almost_orbit_cauchy_threshold``: when the defect rate is a plain rate
-  Phi, all t, t' >= max(Phi(8k+7), s* + Omega_{s*}(3k+2)) with
+  Phi, all t, t' >= max(Phi(8k+7), s* + Omega(3k+2)) with
   s* = Phi(omega(B, 3k+2)) satisfy ||u(t) - u(t')|| <= 1/(k+1).
 
-Note: ``Omega_m(3k+2)`` always means the *function* Omega_m applied to the
+Note: ``Omega(3k+2)`` always means the *function* Omega applied to the
 argument 3k+2 (whose definition then applies its own 3*+2 internally).
 """
 
@@ -55,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ResourceLimitError
-from .moduli import RateFn, WeakModulus, identity_rate, rate_from_spec, rate_label
+from .moduli import RateFn, WeakModulus, identity_rate, rate_label
 from .operators import AccretiveOperator
 from .semigroup import AlmostOrbit
 from .space import as_point, ceil_norm, eta_hilbert, norm
@@ -66,8 +64,6 @@ __all__ = [
     "NRInputs",
     "XuInputs",
     "FromRateFunctional",
-    "ConstantFunctional",
-    "ConstantGraphBound",
     "pairing_dip_rate",
     "orbit_cauchy_threshold",
     "closure_cauchy_threshold",
@@ -266,43 +262,21 @@ class FromRateFunctional:
 
 
 @dataclass(frozen=True)
-class ConstantFunctional:
-    """Metastability functional Phi(k, f) = value."""
-
-    value: int
-    counterfunction_free = True
-
-    def __call__(self, k: int, f: RateFn) -> int:
-        return int(self.value)
-
-
-@dataclass(frozen=True)
-class ConstantGraphBound:
-    """Graph-approximation bound f_s = rate for every s."""
-
-    rate: RateFn
-    s_independent = True
-
-    def __call__(self, s: float) -> RateFn:
-        return self.rate
-
-
-@dataclass(frozen=True)
 class XuInputs:
     """Audited inputs for the almost-orbit certificates.
 
     phi is the metastability functional (k, f) -> N of the almost-orbit
     condition; phi_rate additionally holds a plain defect rate when one
     exists.  omega is the projection-continuity modulus (max-lifted so that
-    omega(r, k) >= k always holds); B >= 1 bounds ||u(t) - p||; f_s(s) is a
-    nondecreasing graph-approximation bound for u(s); p_norm bounds ||p||.
+    omega(r, k) >= k always holds); B >= 1 bounds ||u(t) - p||; G bounds
+    the norms of the graph pair at every u(s); p_norm bounds ||p||.
     """
 
     weak_modulus: WeakModulus
     phi: Callable[[int, RateFn], int]
     omega: Callable[[int, int], int]
     B: int
-    f_s: Callable[[float], RateFn]
+    G: int
     p_norm: int
     phi_rate: RateFn | None = None
     provenance: dict = field(default_factory=dict)
@@ -331,7 +305,7 @@ class XuInputs:
         """Assemble inputs from a perturbed orbit.
 
         The defect rate of the orbit supplies Phi (unless a custom functional
-        is given); constants B, p_norm, and the graph bound f_s are derived
+        is given); constants B, p_norm, and the graph bound G are derived
         from the orbit's radius bound around the operator's zero witness.
         """
         B = int(u.bound_B)
@@ -344,7 +318,7 @@ class XuInputs:
             phi=phi,
             omega=omega if omega is not None else projection_modulus_identity(),
             B=B,
-            f_s=ConstantGraphBound(rate_from_spec({"const": G})),
+            G=G,
             p_norm=p_norm,
             phi_rate=phi_rate,
             provenance={
@@ -358,50 +332,33 @@ class XuInputs:
         )
 
 
-def zero_gap_threshold(inp: XuInputs, s: float, k: int) -> int:
-    """Omega_s(k): time after which the flow from u(s) has zero gap <= 1/(k+1).
+def zero_gap_threshold(inp: XuInputs, k: int) -> int:
+    """Omega(k): time after which the flow from any u(s) has zero gap <= 1/(k+1).
 
-    chi(Omega_w(K_{s,k}, id)(3k+2)) with chi = pairing_dip_rate(B+1) and
-    K_{s,k} = max(f_s(omega(B+1, 3k+2)), B + 1 + p_norm).
+    chi(Omega_w(K, id)(3k+2)) with chi = pairing_dip_rate(B+1) and
+    K = max(G, B + 1 + p_norm).
     """
     j = 3 * k + 2
-    K_sk = max(int(inp.f_s(s)(inp.omega(inp.B + 1, j))), inp.B + 1 + inp.p_norm)
-    omega_w = inp.weak_modulus(K_sk, identity_rate)
+    omega_w = inp.weak_modulus(max(inp.G, inp.B + 1 + inp.p_norm), identity_rate)
     return _chi_mult(inp.B + 1) * (int(omega_w(j)) + 1)
 
 
 def zero_gap_metastability_bound(inp: XuInputs, k: int, f: RateFn) -> int:
-    """Gamma'(k, f): bound on an n with ||u(t) - Pu(t)|| <= 1/(k+1) throughout
-    [n, n + f(n)].
-
-    When ``inp.f_s`` is marked ``s_independent``, Omega_0 is computed once
-    and the max over m <= Phi(omega(B, 3k+2), g) is Omega_0; any other f_s
-    takes the max term by term.
-    """
+    """Gamma'(k, f) = Omega + Phi(omega(B, 3k+2), m -> Omega + f(m + Omega))
+    with Omega = Omega(3k+2): bound on an n with ||u(t) - Pu(t)|| <= 1/(k+1)
+    throughout [n, n + f(n)]."""
     j = 3 * k + 2
-    s_independent = getattr(inp.f_s, "s_independent", False)
-    if s_independent:
-        # om(m) depends on m only through f_s(m), so every om(m) equals om(0)
-        om0 = zero_gap_threshold(inp, 0, j)
-
-        def om(m: int) -> int:
-            return om0
-    else:
-        def om(m: int) -> int:
-            return zero_gap_threshold(inp, m, j)
+    om = zero_gap_threshold(inp, j)
 
     def g(m: int) -> int:
-        v = om(m)
-        return v + int(f(m + v))
+        return om + int(f(m + om))
 
     first = int(inp.phi(inp.omega(inp.B, j), g))
     if first < 0:
         raise ValueError(f"metastability functional output {first} is negative")
     if first > INDEX_CAP:
         raise ResourceLimitError(f"metastability functional output {first} exceeds cap")
-    if s_independent:
-        return first + om(0)
-    return first + max(om(m) for m in range(first + 1))
+    return first + om
 
 
 def orbit_metastability_bound(inp: XuInputs, k: int, f: RateFn) -> int:
@@ -429,10 +386,10 @@ def orbit_metastability_bound(inp: XuInputs, k: int, f: RateFn) -> int:
 
 def almost_orbit_cauchy_threshold(inp: XuInputs, k: int) -> int:
     """Cauchy threshold for an almost-orbit with a plain defect rate Phi:
-    max(Phi(8k+7), s* + Omega_{s*}(3k+2)) with s* = Phi(omega(B, 3k+2))."""
+    max(Phi(8k+7), s* + Omega(3k+2)) with s* = Phi(omega(B, 3k+2))."""
     if inp.phi_rate is None:
         raise ValueError("almost_orbit_cauchy_threshold needs a plain defect rate")
     rate = inp.phi_rate
     j = 3 * k + 2
     s_star = int(rate(inp.omega(inp.B, j)))
-    return max(int(rate(8 * k + 7)), s_star + zero_gap_threshold(inp, s_star, j))
+    return max(int(rate(8 * k + 7)), s_star + zero_gap_threshold(inp, j))

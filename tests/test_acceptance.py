@@ -70,7 +70,7 @@ def test_criterion_01_full_modulus_strongly_accretive():
         n_samples=10_000, seed=0,
     )
     assert report.n_pairs == 10_000
-    assert report.passed, report.violations[:3]
+    assert not report.violations, report.violations[:3]
     done("1 full-modulus soundness (strongly accretive)")
 
 
@@ -81,11 +81,11 @@ def test_criterion_02_full_modulus_quartic_and_counterexample():
     good = check_full_modulus(
         op, full_modulus_quartic_well(), K=501, k_max=5, tol=1e-9, points=points,
     )
-    assert good.passed, good.violations[:3]
+    assert not good.violations, good.violations[:3]
     wrong = check_full_modulus(
         op, full_modulus_linear(), K=501, k_max=5, tol=1e-9, points=points,
     )
-    assert not wrong.passed
+    assert wrong.violations
     assert any("x" in v for v in wrong.violations)
     done("2 full-modulus soundness (quartic) + counterexample")
 

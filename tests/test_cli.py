@@ -169,7 +169,7 @@ def _quartic_grid(**samples):
     ("modulus_quartic.json", "verify-modulus",
      {"samples": {"kind": "seeded", "count": -3}}, "samples.count"),
     ("xu_meta_scaled_identity.json", "certify-xu-meta",
-     {"phi": {"kind": "constant", "value": -1}}, "phi.value"),
+     {"phi": {"kind": "from-rate", "rate": {"const": -1}}}, "phi.rate"),
     ("modulus_scaled_identity.json", "verify-modulus",
      {"seed": -1, "samples": {"kind": "seeded", "count": 10}}, "seed"),
     ("modulus_scaled_identity.json", "verify-modulus",
@@ -252,6 +252,13 @@ def _quartic_grid(**samples):
       "initial_point": [1.0, 0.0]}, "operator.matrix"),
     # json.load refuses integers of more than 4,300 digits with a ValueError
     ("nr_scaled_identity.json", "certify-nr", {"bound_K": HUGE_INT}, "config"),
+    # symmetric only up to a relative 1e-5
+    ("nr_scaled_identity.json", "certify-nr",
+     {"operator": {"kind": "spd", "matrix": [[2.0, -1.0], [-1.00001, 2.0]]},
+      "initial_point": [1.0, 0.0]}, "operator.matrix"),
+    # a phi kind that is not registered
+    ("xu_meta_scaled_identity.json", "certify-xu-meta",
+     {"phi": {"kind": "constant", "value": 5}}, "phi.kind"),
 ])
 def test_malformed_config_exits_two_and_names_the_field(
     name, command, overrides, field, tmp_path, capsys

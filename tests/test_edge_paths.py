@@ -634,7 +634,7 @@ def test_full_modulus_report_truncates():
         op, full_modulus_linear(), K=501, k_max=5, tol=1e-9, points=points,
         max_reported=3,
     )
-    assert not report.passed
+    assert report.violations
     markers = [v for v in report.violations if "truncated" in v]
     assert markers  # the grid produces far more than 3 violations per level
 
@@ -705,7 +705,7 @@ def test_scaled_identity_alpha_not_one_full_chain():
         op, full_modulus_strongly_accretive(4), K=6, k_max=6, tol=1e-9,
         n_samples=2000, seed=9,
     )
-    assert report.passed
+    assert not report.violations
     x = [1.5, -0.5]
     inp = NRInputs.from_point(op, x, weak)
     cauchy = verify_cauchy_rate(op, x, orbit_cauchy_threshold(inp), k_range=range(3))

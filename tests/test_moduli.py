@@ -139,7 +139,7 @@ def test_full_modulus_scan_scaled_identity():
         op, full_modulus_strongly_accretive(1), K=10, k_max=10, tol=1e-9,
         n_samples=2000, seed=11,
     )
-    assert report.passed
+    assert not report.violations
     assert report.n_pairs == 2000
 
 
@@ -149,7 +149,7 @@ def test_full_modulus_scan_quartic_grid():
     report = check_full_modulus(
         op, full_modulus_quartic_well(), K=501, k_max=5, tol=1e-9, points=points,
     )
-    assert report.passed
+    assert not report.violations
     assert report.n_pairs == len(points)
 
 
@@ -159,7 +159,7 @@ def test_wrong_modulus_is_caught_on_quartic_grid():
     report = check_full_modulus(
         op, full_modulus_linear(), K=501, k_max=5, tol=1e-9, points=points,
     )
-    assert not report.passed
+    assert report.violations
     # the counterexamples sit just past the flat zone, at gap > 1/(k+1)
     genuine = [v for v in report.violations if "x" in v]
     assert genuine

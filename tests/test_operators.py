@@ -1,6 +1,7 @@
 import math
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,10 +106,51 @@ def test_tridiagonal_laplacian_min_eigenvalue():
 def test_spd_rejects_bad_matrices():
     with pytest.raises(ValueError, match="symmetric"):
         make_spd_linear(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # within np.allclose's default relative 1e-5, but not symmetric
+    with pytest.raises(ValueError, match="symmetric"):
+        make_spd_linear(np.array([[2.0, -1.0], [-1.00001, 2.0]]))
     with pytest.raises(ValueError, match="positive definite"):
         make_spd_linear(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
         make_spd_linear(np.zeros((2, 3)))
+
+
+def _row_sum_bound(M, radius):
+    """ceil(max(1, max_i sum_j |M_ij|) * radius) in exact rationals."""
+    row_sum = max(sum((abs(Fraction(v)) for v in row), Fraction(0)) for row in M)
+    return math.ceil(max(Fraction(1), row_sum) * Fraction(radius))
+
+
+def test_spd_graph_bound_is_the_exact_row_sum_ceiling():
+    # 7.800000000000001 * 5 rounds to 39.0, below the exact 39.0000000000000036
+    assert make_spd_linear([[7.800000000000001]]).graph_norm_bound(5) == 40
+    # the interior rows of tridiag(-1, 2, -1) sum to 4 > lambda_max = 2 + sqrt(2)
+    assert make_spd_linear(dirichlet_laplacian_1d(3)).graph_norm_bound(2.5) == 10
+    assert make_spd_linear(0.5 * np.eye(2)).graph_norm_bound(2.5) == 3  # max(1, .) = 1
+
+
+_ENTRIES = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.data(), st.floats(0.0, 50.0, allow_subnormal=False))
+def test_spd_graph_bound_matches_a_fraction_reference(d, data, radius):
+    off = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i):
+            off[i, j] = off[j, i] = data.draw(_ENTRIES)
+    # strictly diagonally dominant with a positive diagonal, so positive definite
+    M = off + np.diag(np.abs(off).sum(axis=1) + data.draw(st.floats(0.01, 3.0)))
+    op = make_spd_linear(M)
+    G = op.graph_norm_bound(radius)
+    assert G == _row_sum_bound(M.tolist(), radius)
+    # sound: ||x||, ||Mx|| <= G on the sphere of the radius
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(64, d))
+    X *= radius / np.linalg.norm(X, axis=1)[:, None]
+    Y = op.value_many(X)
+    assert np.all(np.linalg.norm(Y, axis=1) <= G * (1 + 1e-12))
+    assert radius <= G
 
 
 # -------------------------------------------------------------- quartic well

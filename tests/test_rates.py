@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -7,9 +6,8 @@ import pytest
 import accretive_flows.harness as harness_mod
 import accretive_flows.rates as rates_mod
 from accretive_flows import (
-    ConstantFunctional,
-    ConstantGraphBound,
     ExperimentConfig,
+    FromRateFunctional,
     NRInputs,
     XuInputs,
     almost_orbit_cauchy_threshold,
@@ -42,6 +40,11 @@ CLOSURE_K0 = 684
 
 def _weak_sacc(a=1):
     return weak_from_full(full_modulus_strongly_accretive(a))
+
+
+def _const_phi(value):
+    """The functional Phi(k, f) = value."""
+    return FromRateFunctional(rate_from_spec({"const": value}))
 
 
 # -------------------------------------------------------------- dip rate chi
@@ -149,13 +152,13 @@ def test_projection_modulus_from_convexity_monotone_in_radius():
 
 # ------------------------------------------------------------- almost orbits
 
-def _xu_inputs_stub(B=1, const_f=0, phi=None):
+def _xu_inputs_stub(B=1, G=0, phi=None):
     return XuInputs(
         weak_modulus=_weak_sacc(),
-        phi=phi if phi is not None else ConstantFunctional(0),
+        phi=phi if phi is not None else _const_phi(0),
         omega=projection_modulus_identity(),
         B=B,
-        f_s=lambda s: rate_from_spec({"const": const_f}),
+        G=G,
         p_norm=0,
     )
 
@@ -167,8 +170,8 @@ def test_xu_inputs_validation():
 
 def test_xu_inputs_lifts_omega():
     inp = XuInputs(
-        weak_modulus=_weak_sacc(), phi=ConstantFunctional(0),
-        omega=lambda r, k: 0, B=1, f_s=lambda s: identity_rate, p_norm=0,
+        weak_modulus=_weak_sacc(), phi=_const_phi(0),
+        omega=lambda r, k: 0, B=1, G=0, p_norm=0,
     )
     assert inp.omega(3, 7) == 7
 
@@ -177,54 +180,52 @@ def test_xu_inputs_from_orbit(orbit_c1):
     inp = XuInputs.from_orbit(orbit_c1, _weak_sacc())
     assert inp.B == 3
     assert inp.p_norm == 0
-    assert inp.f_s(0.0)(17) == 3  # graph pair at u(s) itself
+    assert inp.G == 3  # graph pair at u(s) itself
     assert inp.phi_rate is orbit_c1.rate_phi
     assert inp.provenance["B"]["value"] == 3
 
 
 def test_zero_gap_threshold_stub_value():
-    inp = _xu_inputs_stub(B=1, const_f=0)
-    assert zero_gap_threshold(inp, 0.0, 0) == 27
-    # no other dependence on s when f_s is constant
-    assert all(zero_gap_threshold(inp, s, 0) == 27 for s in (0.0, 1.5, 88.0))
+    inp = _xu_inputs_stub(B=1, G=0)
+    assert zero_gap_threshold(inp, 0) == 27
 
 
 def test_zero_gap_threshold_monotone_in_k(orbit_c1):
     inp = XuInputs.from_orbit(orbit_c1, _weak_sacc())
-    vals = [zero_gap_threshold(inp, 0.0, k) for k in range(11)]
+    vals = [zero_gap_threshold(inp, k) for k in range(11)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_gamma_prime_stub_constant_phi_zero(monkeypatch):
-    # Phi == 0 with Omega_m == c collapses to Gamma' = c
-    inp = _xu_inputs_stub(phi=ConstantFunctional(0))
-    monkeypatch.setattr(rates_mod, "zero_gap_threshold", lambda inp_, s, k: 3)
+    # Phi == 0 with Omega == c gives Gamma' = c
+    inp = _xu_inputs_stub(phi=_const_phi(0))
+    monkeypatch.setattr(rates_mod, "zero_gap_threshold", lambda inp_, k: 3)
     assert zero_gap_metastability_bound(inp, 5, identity_rate) == 3
 
 
 def test_gamma_prime_stub_hand_value(monkeypatch):
-    # Phi == 1 with Omega_m == 2 and f = id gives 1 + 2 = 3
-    inp = _xu_inputs_stub(phi=ConstantFunctional(1))
-    monkeypatch.setattr(rates_mod, "zero_gap_threshold", lambda inp_, s, k: 2)
+    # Phi == 1 with Omega == 2 and f = id gives 1 + 2 = 3
+    inp = _xu_inputs_stub(phi=_const_phi(1))
+    monkeypatch.setattr(rates_mod, "zero_gap_threshold", lambda inp_, k: 2)
     assert zero_gap_metastability_bound(inp, 5, identity_rate) == 3
 
 
 def test_gamma_prime_monotone_in_phi(monkeypatch):
-    monkeypatch.setattr(rates_mod, "zero_gap_threshold", lambda inp_, s, k: 4)
-    lo = zero_gap_metastability_bound(_xu_inputs_stub(phi=ConstantFunctional(0)), 2, identity_rate)
-    hi = zero_gap_metastability_bound(_xu_inputs_stub(phi=ConstantFunctional(5)), 2, identity_rate)
+    monkeypatch.setattr(rates_mod, "zero_gap_threshold", lambda inp_, k: 4)
+    lo = zero_gap_metastability_bound(_xu_inputs_stub(phi=_const_phi(0)), 2, identity_rate)
+    hi = zero_gap_metastability_bound(_xu_inputs_stub(phi=_const_phi(5)), 2, identity_rate)
     assert lo <= hi
 
 
 def test_gamma_degenerate_phi_equals_gamma_prime():
-    inp = _xu_inputs_stub(phi=ConstantFunctional(0))
+    inp = _xu_inputs_stub(phi=_const_phi(0))
     for k in range(3):
         expected = zero_gap_metastability_bound(inp, 8 * k + 7, lambda n: 0)
         assert orbit_metastability_bound(inp, k, identity_rate) == expected
 
 
 def test_gamma_constant_phi_ignores_counterfunction():
-    inp = _xu_inputs_stub(phi=ConstantFunctional(4))
+    inp = _xu_inputs_stub(phi=_const_phi(4))
     f1 = identity_rate
     f2 = rate_from_spec({"pow": 2})
     for k in range(3):
@@ -255,7 +256,7 @@ def test_gamma_generic_path_agrees_with_shortcut(orbit_c1):
     inp = XuInputs.from_orbit(orbit_c1, _weak_sacc())
     opaque = XuInputs(
         weak_modulus=inp.weak_modulus, phi=OpaqueFunctional(inp.phi),
-        omega=projection_modulus_identity(), B=inp.B, f_s=inp.f_s, p_norm=inp.p_norm,
+        omega=projection_modulus_identity(), B=inp.B, G=inp.G, p_norm=inp.p_norm,
     )
     assert orbit_metastability_bound(opaque, 0, identity_rate) == GAMMA_ACCEPTANCE[0]
 
@@ -264,7 +265,7 @@ def test_roc_threshold_exact_orbit(scaled_identity):
     u = make_almost_orbit(scaled_identity, [2.0], 0.0, [1.0])
     inp = XuInputs.from_orbit(u, _weak_sacc())
     for k in range(4):
-        expected = zero_gap_threshold(inp, 0.0, 3 * k + 2)
+        expected = zero_gap_threshold(inp, 3 * k + 2)
         assert almost_orbit_cauchy_threshold(inp, k) == expected
 
 
@@ -276,7 +277,7 @@ def test_roc_threshold_acceptance_frozen(orbit_c1):
 
 
 def test_roc_threshold_requires_plain_rate(orbit_c1):
-    inp = XuInputs.from_orbit(orbit_c1, _weak_sacc(), functional=ConstantFunctional(3))
+    inp = XuInputs.from_orbit(orbit_c1, _weak_sacc(), functional=_const_phi(3))
     with pytest.raises(ValueError, match="plain defect rate"):
         almost_orbit_cauchy_threshold(inp, 0)
 
@@ -284,17 +285,14 @@ def test_roc_threshold_requires_plain_rate(orbit_c1):
 def test_pathological_functional_hits_resource_cap():
     from accretive_flows import ResourceLimitError
 
-    inp = _xu_inputs_stub(phi=ConstantFunctional(2**33))
+    inp = _xu_inputs_stub(phi=_const_phi(2**33))
     with pytest.raises(ResourceLimitError):
         zero_gap_metastability_bound(inp, 0, identity_rate)
 
 
-@pytest.mark.parametrize("f_s", [
-    ConstantGraphBound(rate_from_spec({"const": 0})), lambda s: rate_from_spec({"const": 0}),
-])
-def test_negative_functional_output_is_refused(f_s):
-    # the collapsed max would otherwise return a negative bound silently
-    inp = dataclasses.replace(_xu_inputs_stub(phi=lambda k, f: -1), f_s=f_s)
+def test_negative_functional_output_is_refused():
+    # Omega + Phi would otherwise return a bound below Omega silently
+    inp = _xu_inputs_stub(phi=lambda k, f: -1)
     with pytest.raises(ValueError, match="negative"):
         zero_gap_metastability_bound(inp, 0, identity_rate)
 
@@ -307,74 +305,43 @@ def test_thresholds_are_pure(orbit_c1):
     assert len(set(b)) == 1
 
 
-# ------------------------------------- Gamma' with an s-independent graph bound
+# --------------------------------------- Gamma' and Gamma against Xu's general form
 
-def _xu_meta_configs():
-    """Every shipped xu-meta config, then the k_range [0, 8] +-x variants
-    with each metastability functional kind."""
-    shipped = sorted(p.name for p in CONFIG_DIR.glob("*.json")
-                     if json.loads(p.read_text(encoding="utf-8"))["scenario"] == "xu-meta")
-    out = [pytest.param(name, {}, id=name) for name in shipped]
-    for sign in (1.0, -1.0):
-        for phi in ({"kind": "orbit-rate"}, {"kind": "from-rate", "rate": {"affine": [2, 3]}},
-                    {"kind": "constant", "value": 5}):
-            out.append(pytest.param("xu_meta_scaled_identity.json", {
-                "k_range": [0, 8], "initial_point": [2.0 * sign],
-                "almost_orbit": {"c": 1.0, "direction": [sign]}, "phi": phi,
-            }, id=f"{'+' if sign > 0 else '-'}x-{phi['kind']}"))
-    return out
+def _reference_omega(inp, graph_bound, s, k):
+    """Omega_s(k) with an s-indexed graph bound: chi(Omega_w(K_s, id)(3k+2))
+    with K_s = max(graph_bound(s)(omega(B+1, 3k+2)), B+1+p_norm)."""
+    j = 3 * k + 2
+    K_s = max(graph_bound(s)(inp.omega(inp.B + 1, j)), inp.B + 1 + inp.p_norm)
+    chi = pairing_dip_rate(inp.B + 1)
+    return chi(inp.weak_modulus(K_s, identity_rate)(j))
 
 
-def _config_inputs(name, overrides):
-    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
-    cfg = ExperimentConfig.from_dict({**raw, **overrides})
-    _, orbit, weak = harness_mod._audit(cfg, harness_mod._cfg_orbit)
-    inp = XuInputs.from_orbit(orbit, weak, omega=harness_mod._cfg_omega(cfg),
-                              functional=harness_mod._cfg_functional(cfg))
-    counterfunctions = [rate_from_spec(c) for c in cfg.counterfunctions or ["id"]]
-    return cfg, inp, counterfunctions
+def _reference_gamma_prime(inp, graph_bound, k, f):
+    """Gamma'(k, f) = Phi(omega(B, 3k+2), g) + max{Omega_m(3k+2) : m <= Phi(...)},
+    g(m) = Omega_m(3k+2) + f(m + Omega_m(3k+2)), taken term by term."""
+    j = 3 * k + 2
+
+    def g(m):
+        om = _reference_omega(inp, graph_bound, m, j)
+        return om + f(m + om)
+
+    first = inp.phi(inp.omega(inp.B, j), g)
+    return first + max(_reference_omega(inp, graph_bound, m, j) for m in range(first + 1))
 
 
-class _CountingThreshold:
-    """Delegates to the real zero_gap_threshold and counts the calls."""
+def _reference_gamma(inp, graph_bound, k, f):
+    """Gamma(k, f) = max{Gamma'(8k+7, j), Phi(8k+7, h_N) : N <= Gamma'(8k+7, j)}.
+    The max over N is Phi(8k+7, f) for a functional that ignores its
+    counterfunction; ``test_gamma_generic_path_agrees_with_shortcut`` checks
+    that collapse on its own."""
+    k8 = 8 * k + 7
 
-    def __init__(self):
-        self.calls = 0
+    def h(N):
+        return lambda n: f(max(N, n)) + max(N, n) - n
 
-    def __call__(self, inp, s, k):
-        self.calls += 1
-        return _ZERO_GAP_THRESHOLD(inp, s, k)
-
-
-_ZERO_GAP_THRESHOLD = rates_mod.zero_gap_threshold
-
-
-@pytest.mark.parametrize("name, overrides", _xu_meta_configs())
-def test_flagged_graph_bound_equals_the_general_loop(name, overrides):
-    cfg, inp, counterfunctions = _config_inputs(name, overrides)
-    assert inp.f_s.s_independent
-    rate = inp.f_s(0)
-    general = dataclasses.replace(inp, f_s=lambda s: rate)
-    assert not getattr(general.f_s, "s_independent", False)
-    lo, hi = cfg.k_range
-    for k in range(lo, hi + 1):
-        for f in counterfunctions:
-            assert (zero_gap_metastability_bound(inp, k, f)
-                    == zero_gap_metastability_bound(general, k, f))
-            assert orbit_metastability_bound(inp, k, f) == orbit_metastability_bound(general, k, f)
-
-
-def test_graph_bound_growing_in_s_takes_the_general_loop():
-    # a K-dependent full modulus, so Omega_m grows with f_m
-    weak = weak_from_full(lambda K, k: K * (k + 1))
-    inp = XuInputs(
-        weak_modulus=weak, phi=ConstantFunctional(3), omega=projection_modulus_identity(),
-        B=1, f_s=lambda s: rate_from_spec({"const": 10 * int(s)}), p_norm=0,
-    )
-    j = 3 * 2 + 2
-    got = zero_gap_metastability_bound(inp, 2, identity_rate)
-    assert got == 3 + zero_gap_threshold(inp, 3, j)
-    assert got > 3 + zero_gap_threshold(inp, 0, j)
+    gp = _reference_gamma_prime(inp, graph_bound, k8, lambda n: max(n, inp.phi(k8, h(n))) - n)
+    assert inp.phi.counterfunction_free
+    return max(gp, inp.phi(k8, f))
 
 
 def _probing_functional(k, f):
@@ -384,8 +351,66 @@ def _probing_functional(k, f):
     return 2
 
 
-@pytest.mark.parametrize("functional", [None, ConstantFunctional(4), _probing_functional])
-def test_flagged_gamma_prime_computes_omega_zero_once(orbit_c1, functional, monkeypatch):
+def _xu_meta_configs():
+    """Every shipped xu-meta config, then the k_range [0, 8] +-x variants
+    with each metastability functional: the orbit's rate, a from-rate one and
+    one that reads its counterfunction."""
+    shipped = sorted(p.name for p in CONFIG_DIR.glob("*.json")
+                     if json.loads(p.read_text(encoding="utf-8"))["scenario"] == "xu-meta")
+    out = [pytest.param(name, {}, None, id=name) for name in shipped]
+    for sign in (1.0, -1.0):
+        variant = {"k_range": [0, 8], "initial_point": [2.0 * sign],
+                   "almost_orbit": {"c": 1.0, "direction": [sign]}}
+        tag = "+" if sign > 0 else "-"
+        for phi in ({"kind": "orbit-rate"}, {"kind": "from-rate", "rate": {"affine": [2, 3]}}):
+            out.append(pytest.param("xu_meta_scaled_identity.json", {**variant, "phi": phi},
+                                    None, id=f"{tag}x-{phi['kind']}"))
+        out.append(pytest.param("xu_meta_scaled_identity.json", variant, _probing_functional,
+                                id=f"{tag}x-probing"))
+    return out
+
+
+def _config_inputs(name, overrides, functional=None):
+    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    cfg = ExperimentConfig.from_dict({**raw, **overrides})
+    _, orbit, weak = harness_mod._audit(cfg, harness_mod._cfg_orbit)
+    inp = XuInputs.from_orbit(orbit, weak, omega=harness_mod._cfg_omega(cfg),
+                              functional=functional or harness_mod._cfg_functional(cfg))
+    counterfunctions = [rate_from_spec(c) for c in cfg.counterfunctions or ["id"]]
+    return cfg, inp, counterfunctions
+
+
+@pytest.mark.parametrize("name, overrides, functional", _xu_meta_configs())
+def test_gamma_equals_the_general_form_with_the_graph_bound_fixed(name, overrides, functional):
+    cfg, inp, counterfunctions = _config_inputs(name, overrides, functional)
+    graph_bound = lambda s: rate_from_spec({"const": inp.G})  # noqa: E731
+    lo, hi = cfg.k_range
+    for k in range(lo, hi + 1):
+        for f in counterfunctions:
+            assert (zero_gap_metastability_bound(inp, k, f)
+                    == _reference_gamma_prime(inp, graph_bound, k, f))
+            if functional is None:
+                # a probing functional's Gamma walks N up to Gamma'(8k+7), ~10^6 here
+                assert (orbit_metastability_bound(inp, k, f)
+                        == _reference_gamma(inp, graph_bound, k, f))
+
+
+class _CountingThreshold:
+    """Delegates to the real zero_gap_threshold and counts the calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, inp, k):
+        self.calls += 1
+        return _ZERO_GAP_THRESHOLD(inp, k)
+
+
+_ZERO_GAP_THRESHOLD = rates_mod.zero_gap_threshold
+
+
+@pytest.mark.parametrize("functional", [None, _const_phi(4), _probing_functional])
+def test_gamma_prime_computes_omega_once(orbit_c1, functional, monkeypatch):
     inp = XuInputs.from_orbit(orbit_c1, _weak_sacc(), functional=functional)
     for k in range(4):
         counter = _CountingThreshold()
@@ -406,5 +431,5 @@ def test_from_convexity_xu_meta_completes(monkeypatch):
     assert report.passed
     assert all(row.status == "PASS" for row in report.rows)
     assert report.rows[0].certified_bound > 10**8
-    # one Gamma' per (k, counterfunction) row, one Omega_0 per Gamma'
+    # one Gamma' per (k, counterfunction) row, one Omega per Gamma'
     assert counter.calls == len(report.rows) == 2 * len(cfg.counterfunctions)
