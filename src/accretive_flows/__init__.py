@@ -2,7 +2,8 @@
 
 The library computes quantitative zero-gap moduli for an accretive operator,
 assembles certified Cauchy/metastability thresholds from them, and verifies
-every certificate empirically against the operator's closed-form flow.  An
+every certificate empirically against the operator's closed-form flow,
+read as an ``AlmostOrbit``: a flow orbit is the almost-orbit with c = 0.  An
 iterated-resolvent evaluator with a-posteriori error certificates is kept
 too; no report uses it, and only the ``euler-chain`` bench workload runs it.
 """
@@ -23,7 +24,6 @@ from .operators import (
 from .semigroup import (
     AlmostOrbit,
     cl_error_bound,
-    evaluate_oracle_many,
     evaluate_semigroup,
     make_almost_orbit,
     resolvent_power,

@@ -61,8 +61,8 @@ from .rates import (
     projection_modulus_from_convexity,
     projection_modulus_identity,
 )
-from .semigroup import AlmostOrbit, evaluate_oracle_many, make_almost_orbit
-from .space import as_point, ceil_norm, norm
+from .semigroup import AlmostOrbit, make_almost_orbit
+from .space import ceil_norm, norm
 
 __all__ = [
     "PASS",
@@ -267,7 +267,7 @@ def _suffix_extents(rows: Callable[[int, int], np.ndarray], n: int, d: int,
 
     ``monotone`` promises 1-d points that are within 1e-12 relative of
     exact values monotone in the row index wherever they are normal floats
-    (``AccretiveOperator.monotone_flow``).  Then a segment between starts of
+    (``u.monotone_flow`` of the curve).  Then a segment between starts of
     at least ``_END_READ_MIN`` rows is read at its first and last
     ``_END_ROWS`` rows first.  Let v_p and v_q be the two innermost values
     read, M = max(|v_p|, |v_q|) and h = 4 * _PRUNE_MARGIN * M.  Every
@@ -557,7 +557,7 @@ def verify_flow_pairing_dip(
     """Along the flow from x with ||x - Px|| <= b, every window
     [n, ceil(b^2/2+1)(k+1)+n] must contain a grid point where the pairing
     <A w(t), w(t) - Pw(t)> <= 1/(k+1) + tol."""
-    x = as_point(x)
+    w = make_almost_orbit(op, x)
     report = Report(
         scenario="flow-pairing-dip",
         provenance={"operator": op.name, "b": int(b), "window": "ceil(b^2/2+1)*(k+1)+n"},
@@ -565,7 +565,7 @@ def verify_flow_pairing_dip(
     )
 
     def pairing(ts: np.ndarray) -> np.ndarray:
-        W = evaluate_oracle_many(op, x, ts)
+        W = w.evaluate_many(ts)
         return np.einsum("ij,ij->i", op.value_many(W), W - op.zero_projection_many(W))
 
     return _dip_windows(report, pairing_dip_rate(b), pairing, k_max, n_max, grid_step, tol)
@@ -575,35 +575,31 @@ def verify_flow_pairing_dip(
 
 def _verify_pairwise(
     scenario: str,
-    curve_many: Callable[[np.ndarray], np.ndarray],
-    dim: int,
+    u: AlmostOrbit,
     threshold: Callable[[int], int],
     k_range: Sequence[int],
     grid_step: float,
     horizon_pad: float,
     tol: float,
     provenance: dict | None = None,
-    monotone: bool = False,
 ) -> Report:
-    """For every k, the largest distance between values of ``curve_many``, a
-    curve in R^dim, at points of the grid ``np.arange(t_lo, horizon +
-    grid_step / 2, grid_step)`` from threshold(k) on must be at most
-    1/(k+1) + tol; t_lo is the smallest threshold and horizon the largest
-    plus ``horizon_pad``.
+    """For every k, the largest distance between values of the curve ``u``
+    at points of the grid ``np.arange(t_lo, horizon + grid_step / 2,
+    grid_step)`` from threshold(k) on must be at most 1/(k+1) + tol; t_lo is
+    the smallest threshold and horizon the largest plus ``horizon_pad``.
 
     The grid is never built whole.  Its length comes from np.arange's
     formula and is capped by ``MAX_GRID_POINTS``, and each threshold's
     first grid index comes from ``_grid_index``.  ``_suffix_extents``
-    then evaluates the curve from the first threshold on, on the grid rows
-    of ``_grid_rows``: in slices of ``_SLICE_ROWS`` for dim 1, and in one
-    call, refused beforehand beyond ``EXACT_DIAMETER_ROWS``, for dim > 1.
+    then evaluates ``u`` from the first threshold on, on the grid rows of
+    ``_grid_rows``: in slices of ``_SLICE_ROWS`` in R^1, and in one call,
+    refused beforehand beyond ``EXACT_DIAMETER_ROWS``, in R^d for d > 1.
 
-    ``monotone`` says the 1-d curve is monotone in t up to rounding far
-    below ``_PRUNE_MARGIN`` (``AccretiveOperator.monotone_flow``).  Grid
-    rows are non-decreasing in t, so its values are monotone in the row
-    index, and ``_suffix_extents`` reads only the ends of each long segment
-    between thresholds whose interior cannot hold an extreme.  Every spread
-    is the same float as from a full read.
+    ``u.monotone_flow`` says the 1-d curve is monotone in t up to rounding
+    far below ``_PRUNE_MARGIN``.  Grid rows are non-decreasing in t, so its
+    values are monotone in the row index, and ``_suffix_extents`` reads only
+    the ends of each long segment between thresholds whose interior cannot
+    hold an extreme.  Every spread is the same float as from a full read.
     """
     ks = sorted(int(k) for k in k_range)
     thresholds = {k: int(threshold(k)) for k in ks}
@@ -621,8 +617,8 @@ def _verify_pairwise(
               "err_bound": 0.0},
     )
     starts = [_grid_index(t_lo, grid_step, n_points, thresholds[k] - 1e-9) for k in ks]
-    extents = _suffix_extents(lambda i0, i1: curve_many(_grid_rows(t_lo, grid_step, i0, i1)),
-                              n_points, dim, starts, monotone)
+    extents = _suffix_extents(lambda i0, i1: u.evaluate_many(_grid_rows(t_lo, grid_step, i0, i1)),
+                              n_points, u.operator.dim, starts, u.monotone_flow)
     for k, extent in zip(ks, extents):
         row = _row(k, thresholds[k], extent, tol, detail={"pairs": "exact"})
         report.rows.append(row)
@@ -641,19 +637,16 @@ def verify_cauchy_rate(
     tol: float = 1e-9,
 ) -> Report:
     """Check ||S(s)x - S(s')x|| <= 1/(k+1) for all grid pairs s, s' beyond
-    threshold(k), against the operator's exact flow."""
-    x = as_point(x)
+    threshold(k), on the flow orbit: the almost-orbit from x with c = 0."""
     return _verify_pairwise(
         scenario="cauchy-rate",
-        curve_many=lambda ts: evaluate_oracle_many(op, x, ts),
-        dim=op.dim,
+        u=make_almost_orbit(op, x),
         threshold=threshold,
         k_range=k_range,
         grid_step=grid_step,
         horizon_pad=horizon_pad,
         tol=tol,
         provenance={"operator": op.name, **getattr(threshold, "provenance", {})},
-        monotone=op.monotone_flow,
     )
 
 
@@ -669,15 +662,13 @@ def verify_orbit_cauchy(
     """Check ||u(t) - u(t')|| <= 1/(k+1) for all grid pairs beyond threshold(k)."""
     return _verify_pairwise(
         scenario="orbit-cauchy",
-        curve_many=u.evaluate_many,
-        dim=u.operator.dim,
+        u=u,
         threshold=threshold,
         k_range=k_range,
         grid_step=grid_step,
         horizon_pad=horizon_pad,
         tol=tol,
-        provenance=provenance or {},
-        monotone=u.monotone_flow,
+        provenance=provenance,
     )
 
 
@@ -767,9 +758,8 @@ def certified_graph_sequence(
 ) -> CertifiedSequence:
     """Graph pairs sampled along the exact flow from x0 at unit-ish spacing,
     with the pairing rate certified from the data itself."""
-    x0 = as_point(x0)
     ts = np.arange(count, dtype=float) * spacing
-    X = evaluate_oracle_many(op, x0, ts)
+    X = op.exact_flow_many(x0, ts)
     Y = op.value_many(X)
     PX = op.zero_projection_many(X)
     pairings = np.abs(np.einsum("ij,ij->i", Y, X - PX))

@@ -156,24 +156,24 @@ def _labeled(fn, label: str):
 
 # ----------------------------------------------------------------- instances
 
-def full_modulus_strongly_accretive(a: int) -> FullModulus:
-    """Full modulus a(k+1)^2 - 1 (truncated at 0) for operators with
-    <u - v, x - y> >= alpha ||x - y||^2 and alpha >= 1/a; K-independent."""
+def _quadratic_full_modulus(kind: str, name: str, a: int) -> FullModulus:
+    """Full modulus a(k+1)^2 - 1 labelled ``kind(name=a)``, for an integer a >= 1."""
     a = int(a)
     if a < 1:
-        raise ValueError("a must be a positive integer")
-    return _labeled(lambda K, k: max(a * (k + 1) ** 2 - 1, 0),
-                    f"strongly-accretive(a={a})")
+        raise ValueError(f"{name} must be a positive integer")
+    return _labeled(lambda K, k: a * (k + 1) ** 2 - 1, f"{kind}({name}={a})")
+
+
+def full_modulus_strongly_accretive(a: int) -> FullModulus:
+    """Full modulus a(k+1)^2 - 1 for operators with
+    <u - v, x - y> >= alpha ||x - y||^2 and alpha >= 1/a."""
+    return _quadratic_full_modulus("strongly-accretive", "a", a)
 
 
 def full_modulus_min_eigenvalue(lam: int) -> FullModulus:
     """Full modulus Lambda(k+1)^2 - 1 for SPD linear operators whose
     eigenvalues are bounded below by 1/Lambda (e.g. discrete Laplacians)."""
-    lam = int(lam)
-    if lam < 1:
-        raise ValueError("Lambda must be a positive integer")
-    return _labeled(lambda K, k: max(lam * (k + 1) ** 2 - 1, 0),
-                    f"min-eigenvalue(Lambda={lam})")
+    return _quadratic_full_modulus("min-eigenvalue", "Lambda", lam)
 
 
 def full_modulus_quartic_well() -> FullModulus:

@@ -188,10 +188,6 @@ class SPDLinear(AccretiveOperator):
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(M)
         self.name = f"spd-linear(d={self.dim})"
 
-    @property
-    def lambda_min(self) -> float:
-        return float(self.eigenvalues[0])
-
     def resolvent(self, gamma, x, n=1):
         """The exact n-chain V diag((1 + gamma lambda)^{-n}) V^T x."""
         x, n = self._check_chain(gamma, x, n)

@@ -22,9 +22,10 @@ Also provided: perturbed orbits u(t) = S(t)x + (c/(1+t)) e whose defect
 
     sup_{t>=0} || u(t+s) - S(t) u(s) ||  <=  2c / (1+s)
 
-admits the exact integer rate  phi(k) = ceil(2c(k+1) - 1).  Their radius
-bound needs no flow evaluation: for a zero p, S(t)p = p and S(t) is
-nonexpansive, so  ||u(t) - p|| <= ||S(t)x - p|| + c/(1+t) <= ||x - p|| + c.
+admits the exact integer rate  phi(k) = ceil(2c(k+1) - 1); c = 0 gives the
+flow orbit itself, so the verifiers read every flow as an ``AlmostOrbit``.
+Their radius bound needs no flow evaluation: for a zero p, S(t)p = p and
+S(t) is nonexpansive, so  ||u(t) - p|| <= ||S(t)x - p|| + c/(1+t) <= ||x - p|| + c.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "steps_for_tolerance",
     "resolvent_power",
     "evaluate_semigroup",
-    "evaluate_oracle_many",
     "make_almost_orbit",
 ]
 
@@ -106,18 +106,10 @@ def evaluate_semigroup(op: AccretiveOperator, x, t: float, tol: float) -> tuple[
     return z, cl_error_bound(t, speed, n)
 
 
-def evaluate_oracle_many(op: AccretiveOperator, x, ts) -> np.ndarray:
-    """Exact flow values at many times; rows follow ``ts``."""
-    try:
-        return op.exact_flow_many(x, np.asarray(ts, dtype=float))
-    except NotImplementedError as exc:
-        raise ValueError(str(exc)) from exc
-
-
 @dataclass(frozen=True)
 class AlmostOrbit:
     """Perturbed orbit u(t) = S(t)x + (c/(1+t)) e whose defect against the
-    flow decays at a known rate.
+    flow decays at a known rate; c = 0 is the flow orbit S(t)x itself.
 
     The curve is stored by its data -- start point ``initial``, perturbation
     size ``c`` and unit ``direction`` -- and evaluated in batches from the
@@ -137,7 +129,9 @@ class AlmostOrbit:
     def evaluate_many(self, ts) -> np.ndarray:
         """u at every time in ``ts``; rows follow ``ts``."""
         ts = np.asarray(ts, dtype=float)
-        flow = evaluate_oracle_many(self.operator, self.initial, ts)
+        flow = self.operator.exact_flow_many(self.initial, ts)
+        if self.c == 0:  # the flow's own array: flow + 0.0 * e turns -0.0 into +0.0
+            return flow
         return flow + (self.c / (1.0 + ts))[:, None] * self.direction[None, :]
 
     @property
@@ -170,17 +164,17 @@ def _harmonic_decay_rate(c: float) -> Callable[[int], int]:
     return phi
 
 
-def make_almost_orbit(op: AccretiveOperator, x, c: float, direction) -> AlmostOrbit:
-    """Perturbed orbit u(t) = S(t)x + (c/(1+t)) e for a unit vector e.
+def make_almost_orbit(op: AccretiveOperator, x, c: float = 0.0, direction=None) -> AlmostOrbit:
+    """Perturbed orbit u(t) = S(t)x + (c/(1+t)) e for a unit vector e (by default e_1).
 
     The defect bound 2c/(1+s) gives the exact integer rate
-    phi(k) = ceil(2c(k+1) - 1); c = 0 recovers a genuine orbit with phi == 0.
+    phi(k) = ceil(2c(k+1) - 1); c = 0 is the flow orbit with phi == 0.
     The radius bound is B = max(1, ceil(||x - p|| + c)) for the zero
     p = ``op.zero_witness()``: S(t) fixes p and is nonexpansive, so
     ||u(t) - p|| <= ||S(t)x - p|| + c/(1+t) <= ||x - p|| + c.
     """
     x = op._check_dim(x)
-    e = as_point(direction)
+    e = as_point([1.0] + [0.0] * (op.dim - 1) if direction is None else direction)
     if c < 0:
         raise ValueError("perturbation size c must be nonnegative")
     if abs(norm(e) - 1.0) > 1e-9:

@@ -467,6 +467,7 @@ class _UnmarkedQuartic(AccretiveOperator):
 
     name, dim = "unmarked-quartic", 1
     exact_flow_many = QuarticWell.exact_flow_many
+    zero_witness = QuarticWell.zero_witness
 
 
 def test_cauchy_check_without_the_opt_in_reads_every_row(monkeypatch):

@@ -9,6 +9,7 @@ from accretive_flows import (
     ConfigurationError,
     ExperimentConfig,
     NRInputs,
+    QuarticWell,
     XuInputs,
     almost_orbit_cauchy_threshold,
     certified_graph_sequence,
@@ -199,7 +200,7 @@ def test_dip_windows_of_width_zero_match_reference(flow, n_max, step):
 ])
 def test_dip_verifiers_evaluate_the_curve_once_per_window_start(name, n_max, monkeypatch):
     curve_calls, oracle_calls = [], []
-    windows, oracle = harness._dip_windows, harness.evaluate_oracle_many
+    windows, oracle = harness._dip_windows, QuarticWell.exact_flow_many
 
     def counted_windows(report, width, curve, *rest):
         return windows(report, width, lambda ts: curve_calls.append(ts.size) or curve(ts), *rest)
@@ -209,12 +210,12 @@ def test_dip_verifiers_evaluate_the_curve_once_per_window_start(name, n_max, mon
         return oracle(op, x, ts)
 
     monkeypatch.setattr(harness, "_dip_windows", counted_windows)
-    monkeypatch.setattr(harness, "evaluate_oracle_many", counted_oracle)
+    monkeypatch.setattr(QuarticWell, "exact_flow_many", counted_oracle)
     raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
     assert raw["liminf"]["n_max"] == n_max
     assert run_experiment(ExperimentConfig.from_dict(raw)).passed
     assert len(curve_calls) == n_max + 1
-    # the pairing form looks the oracle up by its module name, once per start
+    # the pairing form evaluates the quartic flow once per start
     assert oracle_calls == (curve_calls if "flow" in name else [])
 
 
@@ -296,7 +297,7 @@ def test_metastability_failure_reported(orbit_c1):
 def test_registry_laplacian_bound_matches_eigenvalue():
     name, op, full = registered_pairs()[1]
     assert name == "spd-laplacian-1d+laplacian"
-    assert math.ceil(1.0 / op.lambda_min) == 3
+    assert math.ceil(1.0 / op.eigenvalues[0]) == 3
     assert full(0, 3) == 3 * 16 - 1
 
 

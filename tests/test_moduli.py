@@ -17,6 +17,7 @@ from accretive_flows import (
     make_quartic_well,
     make_scaled_identity,
     rate_from_spec,
+    rate_label,
     simple_from_full,
     theta_scaled_identity,
     weak_from_full,
@@ -50,14 +51,16 @@ def test_rate_labels():
 
 def test_strongly_accretive_modulus_values():
     m1 = full_modulus_strongly_accretive(1)
-    assert m1(10, 0) == 0  # truncated subtraction
+    assert m1(10, 0) == 0
     assert m1(10, 1) == 3
     assert full_modulus_strongly_accretive(3)(10, 2) == 26
+    assert rate_label(full_modulus_strongly_accretive(3)) == "strongly-accretive(a=3)"
 
 
 def test_min_eigenvalue_modulus_values():
     assert full_modulus_min_eigenvalue(1)(10, 0) == 0
     assert full_modulus_min_eigenvalue(2)(10, 3) == 31
+    assert rate_label(full_modulus_min_eigenvalue(2)) == "min-eigenvalue(Lambda=2)"
 
 
 def test_quartic_modulus_values():
@@ -68,9 +71,9 @@ def test_quartic_modulus_values():
 
 
 def test_modulus_constructors_validate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a must be a positive integer$"):
         full_modulus_strongly_accretive(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Lambda must be a positive integer$"):
         full_modulus_min_eigenvalue(0)
 
 

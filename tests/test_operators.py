@@ -99,8 +99,8 @@ def test_spd_identity_value():
 
 def test_tridiagonal_laplacian_min_eigenvalue():
     op = make_spd_linear(dirichlet_laplacian_1d(4))
-    assert op.lambda_min == pytest.approx(TRIDIAG4_LAMBDA_MIN, abs=1e-12)
-    assert op.lambda_min == pytest.approx(2.0 - 2.0 * math.cos(math.pi / 5.0), abs=1e-12)
+    assert op.eigenvalues[0] == pytest.approx(TRIDIAG4_LAMBDA_MIN, abs=1e-12)
+    assert op.eigenvalues[0] == pytest.approx(2.0 - 2.0 * math.cos(math.pi / 5.0), abs=1e-12)
 
 
 def test_spd_rejects_bad_matrices():

@@ -7,7 +7,6 @@ from accretive_flows import (
     ResourceLimitError,
     cl_error_bound,
     dirichlet_laplacian_1d,
-    evaluate_oracle_many,
     evaluate_semigroup,
     make_almost_orbit,
     make_quartic_well,
@@ -61,6 +60,48 @@ def test_quartic_oracle_against_fine_euler_chain(quartic):
     # closed form at O(1/n)
     approx = resolvent_power(quartic, [3.0], 1.0, 2000)
     assert abs(approx[0] - QUARTIC_FLOW_X3_T1) <= 1e-3
+
+
+#: step of the RK4 oracle, and the largest difference from exact_flow_many
+#: that the test accepts; measured worst difference at this step is 8e-10
+#: (quartic well from 3.0), and 6e-12 at a step of 2**-10
+RK4_STEP = 2.0 ** -8
+RK4_TOL = 1e-8
+
+
+def _rk4_flow(op, x, t_end: float, every: int) -> np.ndarray:
+    """Classical fixed-step RK4 for x' = -Ax from x, with step ``RK4_STEP``,
+    up to ``t_end``; the rows are the states after every ``every`` steps.
+    It reads A only through ``value_many``, never a flow formula."""
+    def field(y):
+        return -op.value_many(y[None])[0]
+
+    y, out = np.asarray(x, dtype=float), []
+    h = RK4_STEP
+    for i in range(1, round(t_end / h) + 1):
+        k1 = field(y)
+        k2 = field(y + (h / 2) * k1)
+        k3 = field(y + (h / 2) * k2)
+        k4 = field(y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if i % every == 0:
+            out.append(y)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("op,x", [
+    (make_scaled_identity(0.75, 3), [1.0, -2.0, 0.5]),
+    (make_spd_linear(dirichlet_laplacian_1d(3)), [1.0, -0.5, 2.0]),
+    (make_quartic_well(), [0.5]),
+    (make_quartic_well(), [3.0]),
+    (make_quartic_well(), [-2.5]),
+], ids=lambda v: getattr(v, "name", None))
+def test_exact_flow_matches_an_rk4_integration(op, x):
+    # an oracle for the closed forms that shares no formula with them
+    every = 64  # compare every quarter time unit up to t = 8
+    ts = np.arange(1, 33) * (every * RK4_STEP)
+    got = op.exact_flow_many(x, ts)
+    assert np.abs(got - _rk4_flow(op, x, 8.0, every)).max() <= RK4_TOL
 
 
 def test_scaled_identity_chain_of_two_to_the_24_steps():
@@ -149,7 +190,7 @@ def test_oracle_many_matches_scalar():
     for op in closed_form_ops():
         x = np.full(op.dim, 2.0)
         ts = np.array([0.0, 0.3, 1.7, 9.0])
-        many = evaluate_oracle_many(op, x, ts)
+        many = op.exact_flow_many(x, ts)
         for i, t in enumerate(ts):
             assert many[i] == pytest.approx(op.exact_flow(x, float(t)), abs=1e-12)
 
@@ -159,8 +200,8 @@ def test_oracle_unsupported_operator():
         name = "opaque"
         dim = 1
 
-    with pytest.raises(ValueError, match="closed-form"):
-        evaluate_oracle_many(Opaque(), [1.0], [1.0])
+    with pytest.raises(NotImplementedError, match="opaque has no closed-form flow"):
+        Opaque().exact_flow_many([1.0], [1.0])
 
 
 # -------------------------------------------------------- certificate checks
@@ -203,7 +244,7 @@ def test_flow_nonexpansive(op, rng):
 def test_zero_gap_nonincreasing_along_flow(op):
     x = np.full(op.dim, 3.0)
     ts = np.linspace(0.0, 6.0, 25)
-    pts = evaluate_oracle_many(op, x, ts)
+    pts = op.exact_flow_many(x, ts)
     gaps = np.linalg.norm(pts - op.zero_projection_many(pts), axis=1)
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
 
@@ -252,8 +293,23 @@ def test_orbit_evaluate_many_is_flow_plus_decay(op, x, e):
 def test_unperturbed_orbit_has_zero_rate(op, x, e):
     u = make_almost_orbit(op, x, 0.0, e)
     assert all(u.rate_phi(k) == 0 for k in range(50))
-    ts = np.linspace(0.0, 5.0, 11)
-    np.testing.assert_array_equal(u.evaluate_many(ts), evaluate_oracle_many(op, x, ts))
+
+
+@pytest.mark.parametrize("op,x", [(op, x) for op, x, _ in ORBIT_CASES] + [
+    (make_scaled_identity(1.0, 1), [-2.0]),  # exp(-800) * -2 is -0.0
+    (make_quartic_well(), [0.5]),
+    (make_quartic_well(), [3.0]),
+], ids=lambda v: getattr(v, "name", None))
+def test_default_orbit_is_the_flow_bit_for_bit(op, x):
+    # c = 0 and e = e_1 by default; the orbit is exact_flow_many's array,
+    # so -0.0 keeps its sign bit (flow + 0.0 * e would turn it into +0.0)
+    u = make_almost_orbit(op, x)
+    assert (u.c, u.direction.tolist()) == (0.0, [1.0] + [0.0] * (op.dim - 1))
+    ts = np.array([0.0, 0.3, 1.7, 9.0, 250.0, 800.0])
+    got, want = u.evaluate_many(ts), op.exact_flow_many(x, ts)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    if x == [-2.0]:
+        assert got[-1, 0] == 0.0 and got.view(np.uint64)[-1, 0] == 1 << 63
 
 
 def test_perturbed_orbit_rate(orbit_c1):
