@@ -41,6 +41,7 @@ from .moduli import (
     weak_from_full,
 )
 from .operators import (
+    _FLOAT_MIN_NORMAL,
     AccretiveOperator,
     dirichlet_laplacian_1d,
     make_quartic_well,
@@ -113,9 +114,8 @@ _END_ROWS = 64
 _END_READ_MIN = 2048
 #: relative margin of the diameter scan's pruning bound, far above rounding
 _PRUNE_MARGIN = 1e-9
-#: smallest positive and smallest normal double
+#: smallest positive double
 _SUBNORMAL_MIN = 2.0 ** -1074
-_FLOAT_MIN_NORMAL = 2.0 ** -1022
 
 
 def _status(observed: float, target: float, slack: float) -> str:
@@ -249,7 +249,7 @@ def _suffix_diameters(points: np.ndarray, starts: Sequence[int]) -> list[float]:
 
 
 def _suffix_extents(rows: Callable[[int, int], np.ndarray], n: int, d: int,
-                    starts: Sequence[int], monotone: bool = False) -> list[float]:
+                    starts: Sequence[int], limit: float | None = None) -> list[float]:
     """Largest pairwise distance among the points s to n - 1 for every ``s``
     in ``starts``, where ``rows(i0, i1)`` gives points i0 to i1 - 1 as an
     ``(i1 - i0, d)`` array.  No point before the first start is read.
@@ -265,21 +265,26 @@ def _suffix_extents(rows: Callable[[int, int], np.ndarray], n: int, d: int,
     than ``EXACT_DIAMETER_ROWS`` raises ResourceLimitError before any point
     is read.
 
-    ``monotone`` promises 1-d points that are within 1e-12 relative of
-    exact values monotone in the row index wherever they are normal floats
-    (``u.monotone_flow`` of the curve).  Then a segment between starts of
-    at least ``_END_READ_MIN`` rows is read at its first and last
-    ``_END_ROWS`` rows first.  Let v_p and v_q be the two innermost values
-    read, M = max(|v_p|, |v_q|) and h = 4 * _PRUNE_MARGIN * M.  Every
-    interior exact value lies between the exact values at p and q, so every
-    interior point is below max(v_p, v_q) + h and above min(v_p, v_q) - h:
-    rounding moves each value by about 1e-12 * M, and a subnormal one by a
-    few 2**-1074, both far below h once M is normal.  So when M is finite
-    and normal, max(v_p, v_q) + h <= the largest value read and min(v_p,
-    v_q) - h >= the smallest, the interior holds neither extreme of the
-    segment and is not read; each spread is still the same float.
-    Otherwise (flat, subnormal or non-finite ends) the interior joins the
-    fold, so every row is read once.
+    A float ``limit`` promises 1-d points that move monotonically in the
+    row index towards ``limit`` and never pass it, that equal ``limit`` at
+    every row after the first that does, and that are within 1e-12 relative
+    of exact monotone values wherever they are normal floats
+    (``u.monotone_flow`` of a curve whose limit is Px).  Then a segment
+    between starts of at least ``_END_READ_MIN`` rows is read at its first
+    and last ``_END_ROWS`` rows first, and its interior is skipped when both
+    of its sides are bounded.  Let v_p and v_q be the two innermost values
+    read; the upper side is that of max(v_p, v_q) and the lower side that
+    of min(v_p, v_q).  A side is bounded when its value v equals ``limit``:
+    no point passes the limit, and a curve that reaches it stays there.  A
+    side is also bounded when v is a finite normal float and, with h = 4 *
+    _PRUNE_MARGIN * |v|, v + h is at most the largest value read (upper
+    side) or v - h at least the smallest (lower side).  Every interior exact
+    value lies between the exact values at p and q, and rounding moves a
+    normal value by about 1e-12 relative and a subnormal one by a few
+    2**-1074, both far below h; so the interior holds neither extreme of
+    the segment, and each spread is still the same float.  Otherwise (flat
+    ends away from the limit, subnormal or non-finite ends) the interior
+    joins the fold, so every row is read once.
     """
     cuts = sorted({s for s in starts if s < n - 1})
     exact = {}
@@ -295,7 +300,7 @@ def _suffix_extents(rows: Callable[[int, int], np.ndarray], n: int, d: int,
                 lows.append(np.minimum.reduceat(col, at))
                 firsts.extend(seg)
 
-        segments = zip(cuts, cuts[1:] + [n]) if monotone else ()
+        segments = zip(cuts, cuts[1:] + [n]) if limit is not None else ()
         done = cuts[0]  # rows before this one are read or skipped
         for a, b in segments:
             if b - a < _END_READ_MIN:
@@ -308,10 +313,7 @@ def _suffix_extents(rows: Callable[[int, int], np.ndarray], n: int, d: int,
             lows.append(np.array([lo]))
             firsts.append(a)
             p, q = ends[_END_ROWS - 1], ends[_END_ROWS]
-            m = max(abs(p), abs(q))
-            h = 4.0 * _PRUNE_MARGIN * m
-            if not (_FLOAT_MIN_NORMAL <= m < math.inf
-                    and max(p, q) + h <= hi and min(p, q) - h >= lo):
+            if not (_bounded(max(p, q), limit, 1.0, hi) and _bounded(min(p, q), limit, -1.0, lo)):
                 fold(a + _END_ROWS, b - _END_ROWS)
         fold(done, n)
         high = np.maximum.accumulate(np.concatenate(highs)[::-1])[::-1]
@@ -326,6 +328,18 @@ def _suffix_extents(rows: Callable[[int, int], np.ndarray], n: int, d: int,
         sq = _suffix_square_maxima(rows(m, n), [c - m for c in cuts])
         exact = dict(zip(cuts, np.sqrt(sq).tolist()))
     return [exact.get(s, 0.0) for s in starts]
+
+
+def _bounded(v: float, limit: float, side: float, extreme: float) -> bool:
+    """Whether no value past ``v`` on ``side`` (+1 above, -1 below) can
+    hide in a skipped interior: ``v`` is the limit, or ``v`` plus its own
+    margin stays inside the ``extreme`` read on that side."""
+    if v == limit:
+        return True
+    if not _FLOAT_MIN_NORMAL <= abs(v) < math.inf:
+        return False
+    h = 4.0 * _PRUNE_MARGIN * abs(v)
+    return v + h <= extreme if side > 0 else v - h >= extreme
 
 
 def _suffix_square_maxima(points: np.ndarray, cuts: list[int]) -> np.ndarray:
@@ -595,11 +609,14 @@ def _verify_pairwise(
     ``_grid_rows``: in slices of ``_SLICE_ROWS`` in R^1, and in one call,
     refused beforehand beyond ``EXACT_DIAMETER_ROWS``, in R^d for d > 1.
 
-    ``u.monotone_flow`` says the 1-d curve is monotone in t up to rounding
-    far below ``_PRUNE_MARGIN``.  Grid rows are non-decreasing in t, so its
-    values are monotone in the row index, and ``_suffix_extents`` reads only
-    the ends of each long segment between thresholds whose interior cannot
-    hold an extreme.  Every spread is the same float as from a full read.
+    ``u.monotone_flow`` says the 1-d curve moves monotonically in t
+    towards Px, the nearest zero of its start x, up to rounding far below
+    ``_PRUNE_MARGIN``, never passes Px, and stays at Px once it returns it.
+    Grid rows are non-decreasing in t, so Px is the ``limit`` promise of
+    ``_suffix_extents``, which then reads only the ends of each long
+    segment between thresholds whose interior cannot hold an extreme:
+    segments bounded by margins, and settled ones that end at Px.  Every
+    spread is the same float as from a full read.
     """
     ks = sorted(int(k) for k in k_range)
     thresholds = {k: int(threshold(k)) for k in ks}
@@ -617,8 +634,11 @@ def _verify_pairwise(
               "err_bound": 0.0},
     )
     starts = [_grid_index(t_lo, grid_step, n_points, thresholds[k] - 1e-9) for k in ks]
+    limit = None
+    if u.operator.dim == 1 and u.monotone_flow:
+        limit = float(u.operator.zero_projection(u.initial)[0])
     extents = _suffix_extents(lambda i0, i1: u.evaluate_many(_grid_rows(t_lo, grid_step, i0, i1)),
-                              n_points, u.operator.dim, starts, u.monotone_flow)
+                              n_points, u.operator.dim, starts, limit)
     for k, extent in zip(ks, extents):
         row = _row(k, thresholds[k], extent, tol, detail={"pairs": "exact"})
         report.rows.append(row)

@@ -34,6 +34,9 @@ import numpy as np
 from .errors import ResourceLimitError
 from .space import as_point
 
+#: smallest normal double
+_FLOAT_MIN_NORMAL = 2.0 ** -1022
+
 __all__ = [
     "AccretiveOperator",
     "ScaledIdentity",
@@ -56,11 +59,22 @@ class AccretiveOperator:
     ``monotone_flow`` opts a class in to the Cauchy verifiers' end-read of
     1-d segments (``harness._suffix_extents``).  On R every orbit of an
     accretive operator is monotone: S(t) fixes each zero and is
-    nonexpansive, so the orbit moves towards the zero set and never crosses
-    a zero.  A class may set the flag only if its 1-d ``exact_flow_many``
-    is, at every time where its value is a normal float, within 1e-12
-    relative of a formula that is monotone in t (products, powers and
-    same-signed sums of a few accurately rounded terms are).
+    nonexpansive, so the orbit moves towards Px, the nearest zero of its
+    start x, and never crosses a zero.  A class may set the flag only if
+    its 1-d ``exact_flow_many`` keeps three promises:
+
+    - at every time where its value is a normal float, it is within 1e-12
+      relative of a formula that is monotone in t (products, powers and
+      same-signed sums of a few accurately rounded terms are);
+    - (a) no computed value passes Px: the sign of x * exp(...), and
+      1 + w with w >= 0 for the quartic, keep each value on x's side;
+    - (b) once a computed value equals Px, every later one does: np.exp
+      returns +0.0 from its underflow edge on, and its argument
+      log|x| - alpha t rounds monotonically in t; the quartic's 1 + w
+      stays 1.0 once w is too small to round it up.
+
+    If (b) ever failed, a row that the end-read skips would differ from
+    Px by a rounding error, far below every target 1/(k+1).
     """
 
     name: str = "abstract"
@@ -118,6 +132,23 @@ class AccretiveOperator:
         return x, int(n)
 
 
+def _decay_times(exponent: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """exp(exponent) * coeff for ``exponent`` of shape (m, 1) or (m, len(coeff)).
+
+    Where exp(exponent) is below the smallest normal float it has lost
+    precision or underflowed to 0, although the product may still be a
+    normal float; those entries are copysign(exp(log|coeff| + exponent),
+    coeff) instead.  Every other entry is the plain product."""
+    decay = np.exp(exponent)
+    out = decay * coeff
+    low = decay < _FLOAT_MIN_NORMAL
+    if low.any():
+        with np.errstate(divide="ignore"):  # log 0 = -inf keeps a signed 0
+            log_coeff = np.log(np.abs(coeff))
+        np.copyto(out, np.copysign(np.exp(log_coeff + exponent), coeff), where=low)
+    return out
+
+
 class ScaledIdentity(AccretiveOperator):
     """Ax = alpha * x with alpha > 0; strongly accretive, zero set {0}.
 
@@ -155,7 +186,7 @@ class ScaledIdentity(AccretiveOperator):
     def exact_flow_many(self, x, ts):
         x = self._check_dim(x)
         ts = np.asarray(ts, dtype=float)
-        return np.exp(-self.alpha * ts)[:, None] * x[None, :]
+        return _decay_times((-self.alpha * ts)[:, None], x)
 
     def graph_norm_bound(self, radius):
         # exact: the float product alpha * radius may round below the true one
@@ -208,7 +239,7 @@ class SPDLinear(AccretiveOperator):
         ts = np.asarray(ts, dtype=float)
         V = self.eigenvectors
         coeff = V.T @ x
-        return (np.exp(-np.outer(ts, self.eigenvalues)) * coeff[None, :]) @ V.T
+        return _decay_times(-np.outer(ts, self.eigenvalues), coeff) @ V.T
 
     def graph_norm_bound(self, radius):
         # ||M||_2 <= the largest absolute row sum, summed exactly: an

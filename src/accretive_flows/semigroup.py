@@ -136,12 +136,18 @@ class AlmostOrbit:
 
     @property
     def monotone_flow(self) -> bool:
-        """The ``AccretiveOperator.monotone_flow`` promise for u on R.
+        """The ``AccretiveOperator.monotone_flow`` promise for u on R, with
+        limit Px.
 
         S(t)x moves monotonically from x to Px, the nearest zero, and
         c/(1+t) e shrinks towards 0.  If c = 0, or Px e >= 0 and (x - Px) e
         >= 0, both terms move the same way, so u is monotone, and the two
-        terms have the same sign, so their sum adds no cancellation."""
+        terms have the same sign, so their sum adds no cancellation.  Then
+        (a) flow + c/(1+t) e never passes Px, since a rounded sum of two
+        same-signed terms is at least as large in magnitude as either, and
+        (b) it equals Px only where the flow does and c/(1+t) e rounds away
+        against it (or is 0); the flow stays at Px, and c/(1+t) only
+        shrinks, so u stays at Px at every later time."""
         if not self.operator.monotone_flow:
             return False
         if self.c == 0:

@@ -339,11 +339,16 @@ _GAPS = st.one_of(st.integers(0, 3 * _END_ROWS),
 
 
 def _monotone_rows(data, n):
-    """Sorted values (so exactly monotone, with ties) of one scale, steep at
+    """``(rows, limit)`` for the end-read's promise: either no limit and
+    sorted values (so exactly monotone, with ties) of one scale, steep at
     one end and flat at the other for a large power, with optional +-inf
-    and NaN rows sorted to the ends, then an optional relative jitter of
-    1e-12, which the pruning margin must absorb."""
+    and NaN rows sorted to the ends; or ``_rows_reaching_limit``.  Either
+    gets an optional relative jitter of 1e-12, which the pruning margin
+    must absorb."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    jitter = data.draw(st.sampled_from([False, True, True]))
+    if data.draw(st.booleans()):
+        return _rows_reaching_limit(data, rng, n, jitter)
     spread = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1.0, 1e10]))
     scale = data.draw(st.sampled_from([1.0, -1.0, 1e-300, 1e-310, 0.0, -1e290]))
     power = data.draw(st.sampled_from([1, 16, 256]))
@@ -353,18 +358,50 @@ def _monotone_rows(data, n):
     vals = np.sort(vals)
     if data.draw(st.booleans()):
         vals = vals[::-1]
-    if data.draw(st.sampled_from([False, True, True])):
+    if jitter:
         vals *= 1.0 + 1e-12 * rng.uniform(-1.0, 1.0, n)
-    return vals[:, None]
+    return vals[:, None], None
+
+
+def _rows_reaching_limit(data, rng, n, jitter):
+    """A curve that moves towards ``limit`` (0, or +-1 as the quartic's)
+    from one side, by gaps that shrink (an exp tail through the subnormals,
+    sorted draws of one scale, or a flat gap) and are 0 from a drawn row on:
+    never, the first, the last, or any.  A 0 gap below the limit 0 is -0.0,
+    as x * 0.0 is for x < 0.  A jitter that would pass the limit is clamped
+    to it, rows after the first one at the limit stay there, and the far
+    end may start at infinity."""
+    limit = data.draw(st.sampled_from([0.0, 1.0, -1.0]))
+    side = data.draw(st.sampled_from([1.0, -1.0]))
+    shape = data.draw(st.sampled_from(["exp", "sorted", "flat"]))
+    g0 = data.draw(st.sampled_from([1.0, 1e10, 1e-6, 1e-300, 1e-310]))
+    if shape == "exp":
+        rate = data.draw(st.sampled_from([1e-6, 0.01, 0.5, 3.0]))
+        gaps = np.exp(math.log(g0) - rate * np.arange(n))
+    elif shape == "sorted":
+        power = data.draw(st.sampled_from([1, 16, 256]))
+        gaps = np.sort(g0 * (1.0 + rng.random(n) ** power))[::-1]
+    else:
+        gaps = np.full(n, g0)
+    gaps[data.draw(st.one_of(st.sampled_from([0, n - 1, n]), st.integers(0, n))):] = 0.0
+    vals = side * gaps if limit == 0.0 else limit + side * gaps
+    if jitter:  # a jittered value never passes the limit
+        vals *= 1.0 + 1e-12 * rng.uniform(-1.0, 1.0, n)
+        vals[side * (vals - limit) < 0] = limit
+    settled = np.flatnonzero(vals == limit)
+    if settled.size:
+        vals[settled[0]:] = vals[settled[0]]
+    vals[:data.draw(st.sampled_from([0, 0, 1, 100]))] = side * math.inf
+    return vals[:, None], limit
 
 
 @given(st.lists(_GAPS, min_size=1, max_size=8),
        st.one_of(st.integers(1, 300), st.integers(_END_READ_MIN, 6000)), st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_end_read_suffix_spreads_equal_the_full_read(gaps, tail, data):
     cuts = np.cumsum(gaps).tolist()
     n = cuts[-1] + tail
-    pts = _monotone_rows(data, n)
+    pts, limit = _monotone_rows(data, n)
     read = []
 
     def rows(i0, i1):
@@ -373,13 +410,20 @@ def test_end_read_suffix_spreads_equal_the_full_read(gaps, tail, data):
 
     starts = cuts + [n - 1, n]
     with np.errstate(invalid="ignore"):  # inf - inf
-        got = _suffix_extents(rows, n, 1, starts, monotone=True)
+        got = _suffix_extents(rows, n, 1, starts, limit)
         want = [_diameter_reference(pts[s:]) for s in starts]
     np.testing.assert_array_equal(_bits(got), _bits(want))
     assert len(read) == len(set(read))  # no row is read twice
-    first = min(cuts + [n - 1])  # no row before the first start is read
-    if first < n - 1 and (pts[first:] == pts[first]).all():  # a flat curve is read in full
-        assert sorted(read) == list(range(first, n))
+    read = np.array(read, dtype=int)
+    assert (read >= min(cuts + [n - 1])).all()  # no row before the first start is read
+    segments = sorted({c for c in cuts if c < n - 1})
+    for a, b in zip(segments, segments[1:] + [n]):
+        seg = pts[a:b, 0]
+        count = np.count_nonzero((read >= a) & (read < b))
+        if (seg == seg[0]).all() and (limit is None or seg[0] != limit):
+            assert count == b - a  # a flat segment away from the limit is read in full
+        if limit is not None and b - a >= _END_READ_MIN and (seg == limit).all():
+            assert count == 2 * _END_ROWS  # a settled segment is read at its ends only
 
 
 @pytest.mark.parametrize("flat_end", ["head", "tail"])
@@ -393,7 +437,8 @@ def test_end_read_keeps_the_interior_next_to_a_flat_end(flat_end, sign):
     pts = (vals if flat_end == "head" else vals[::-1])[:, None]
     flat_extreme = np.argmin(pts) if sign > 0 else np.argmax(pts)  # the flat part is low if > 0
     assert _END_ROWS <= flat_extreme < n - _END_ROWS
-    got = _suffix_extents(lambda i0, i1: pts[i0:i1], n, 1, [0, 1], monotone=True)
+    limit = 2.0 * sign if flat_end == "head" else 0.0  # beyond the far end, never reached
+    got = _suffix_extents(lambda i0, i1: pts[i0:i1], n, 1, [0, 1], limit)
     assert _bits(got).tolist() == _bits([_diameter_reference(pts[s:]) for s in (0, 1)]).tolist()
 
 
@@ -408,7 +453,7 @@ def _flow_curve(data):
     else:
         rate = data.draw(st.floats(1e-3, 2.0))
         op = make_scaled_identity(rate, 1) if kind == "scaled-identity" else make_spd_linear([[rate]])
-        x = data.draw(st.floats(-1e3, 1e3))
+        x = data.draw(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e150, 1e150)))
     assert op.monotone_flow
     c = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
     e = data.draw(st.sampled_from([1.0, -1.0, None]))
@@ -420,7 +465,10 @@ def _flow_curve(data):
     return u, None
 
 
-@given(st.dictionaries(st.integers(0, 7), st.integers(0, 300), min_size=1, max_size=6),
+#: thresholds up to 1,000: at a rate above 0.75 a grid reaches the exp
+#: underflow tail of the flow, alpha t > 745, where rows settle at Px = 0
+@given(st.dictionaries(st.integers(0, 7), st.one_of(st.integers(0, 300), st.integers(300, 1000)),
+                       min_size=1, max_size=6),
        st.floats(0.02, 0.5), st.floats(0.0, 40.0), st.data())
 @settings(max_examples=150, deadline=None)
 def test_monotone_cauchy_checks_equal_the_full_grid(thresholds, step, pad, data):
@@ -453,6 +501,8 @@ def _count_flow_rows(monkeypatch, cls):
 @pytest.mark.parametrize("name, k_range, cls", [
     ("nr_quartic.json", [0, 7], QuarticWell),
     ("xu_roc_scaled_identity.json", [0, 5], ScaledIdentity),
+    # 2e^-t is 0.0 from t = 745 on: the segments past it are settled at Px = 0
+    ("nr_closure_scaled_identity.json", [0, 3], ScaledIdentity),
 ])
 def test_long_monotone_cauchy_grids_read_only_segment_ends(monkeypatch, name, k_range, cls):
     raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))

@@ -84,6 +84,72 @@ def test_scaled_identity_graph_bound_is_the_exact_ceiling():
     assert make_scaled_identity(2.0, 3).graph_norm_bound(3) == 6
 
 
+def _decay_reference(x, t):
+    # x exp(-t) through the logarithm: accurate far below exp's underflow edge
+    return math.copysign(math.exp(math.log(abs(x)) - t), x)
+
+
+#: times on both sides of exp(-t)'s edges: 2**-1022 at t = 708.4 and 0 at t = 745.1
+_UNDERFLOW_TIMES = np.array([0.0, 1.5, 700.0, 708.0, 708.5, 720.0, 745.0, 746.0, 800.0,
+                             1200.0, 1e4])
+
+
+@pytest.mark.parametrize("x", [1e300, 1e10, 9e3, 2.0, 1e-300])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_scaled_identity_flow_is_accurate_where_exp_underflows(x, sign):
+    ts = _UNDERFLOW_TIMES
+    got = make_scaled_identity(1.0, 1).exact_flow_many([sign * x], ts)[:, 0]
+    for t, value in zip(ts.tolist(), got.tolist()):
+        want = _decay_reference(sign * x, t)
+        assert math.copysign(1.0, value) == sign
+        assert abs(value - want) <= max(1e-12 * abs(want), 2.0 ** -1073), (t, value, want)
+    normal = np.exp(-ts) >= 2.0 ** -1022  # rows where exp(-t) keeps full precision
+    np.testing.assert_array_equal(got[normal], np.exp(-ts[normal]) * (sign * x))
+    if x == 1e300:  # the plain product exp(-800) * x underflows to 0.0; 3.67e-48 is normal
+        assert np.exp(-800.0) * x == 0.0 and abs(got[ts == 800.0][0]) > 1e-48
+
+
+def test_flows_keep_a_zero_start_and_its_sign_past_the_underflow_edge():
+    for op in (make_scaled_identity(1.0, 2), make_spd_linear([[1.0]])):
+        x = [0.0, -0.0][:op.dim]
+        got = op.exact_flow_many(x, _UNDERFLOW_TIMES)
+        assert (got == 0.0).all()
+        if op.dim == 2:
+            assert not np.signbit(got[:, 0]).any() and np.signbit(got[:, 1]).all()
+
+
+def test_spd_flow_is_accurate_where_one_mode_underflows():
+    # at t = 500 the mode of eigenvalue 2 is exp(-1000) x_2, below exp's range
+    op = make_spd_linear(np.diag([1.0, 2.0]))
+    x = [3e200, -5e250]
+    ts = np.array([10.0, 360.0, 500.0, 600.0])
+    got = op.exact_flow_many(x, ts)
+    for row, t in zip(got.tolist(), ts.tolist()):
+        for value, xi, lam in zip(row, x, (1.0, 2.0)):
+            want = _decay_reference(xi, lam * t)
+            assert abs(value - want) <= max(1e-12 * abs(want), 2.0 ** -1073), (t, value, want)
+    assert got[2, 1] != 0.0
+
+
+def test_np_exp_is_monotone_and_stays_at_zero_past_its_underflow_edge():
+    # the end-read of 1-d Cauchy grids relies on this: a flow that has
+    # underflowed to Px = 0 stays there, so a settled stretch is never read
+    edge = -745.1332191019412  # exp(edge) is 0.0 and exp of the next float up 2**-1074
+    dense = np.linspace(-744.0, -746.0, 400_001)
+    steps = edge + np.arange(-20_000, 20_000)[::-1] * math.ulp(edge)  # every float near the edge
+    magnitudes = 10.0 ** np.random.default_rng(0).uniform(math.log10(746.0), 300.0, 10_000)
+    far = -np.sort(np.concatenate([magnitudes, [1e4, 1e6, 1e300, np.inf]]))
+    for args in (dense, steps, far):
+        assert (np.diff(args) < 0).all()
+        out = np.exp(args)
+        assert (np.diff(out) <= 0).all()
+        zero = np.flatnonzero(out == 0.0)
+        if zero.size:
+            assert (out[zero[0]:] == 0.0).all() and not np.signbit(out[zero[0]:]).any()
+    assert np.exp(steps)[0] > 0.0 and np.exp(steps)[-1] == 0.0  # the sweep crosses the edge
+    assert (np.exp(far) == 0.0).all()
+
+
 # ----------------------------------------------------------------- SPD linear
 
 def test_spd_scalar_case():
