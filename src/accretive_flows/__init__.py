@@ -75,7 +75,6 @@ from .harness import (
     empirical_rate_of_convergence,
     registered_pairs,
     run_experiment,
-    verify_cauchy_rate,
     verify_flow_pairing_dip,
     verify_integrable_dip,
     verify_metastability,

@@ -73,7 +73,6 @@ __all__ = [
     "Report",
     "verify_integrable_dip",
     "verify_flow_pairing_dip",
-    "verify_cauchy_rate",
     "verify_orbit_cauchy",
     "verify_metastability",
     "CertifiedSequence",
@@ -241,13 +240,6 @@ class Report:
         return "".join(out)
 
 
-def _suffix_diameters(points: np.ndarray, starts: Sequence[int]) -> list[float]:
-    """Largest pairwise distance among the rows of ``points[s:]`` for every
-    ``s`` in ``starts``: ``_suffix_extents`` of rows held in memory."""
-    n, d = points.shape
-    return _suffix_extents(lambda i0, i1: points[i0:i1], n, d, starts)
-
-
 def _suffix_extents(rows: Callable[[int, int], np.ndarray], n: int, d: int,
                     starts: Sequence[int], limit: float | None = None) -> list[float]:
     """Largest pairwise distance among the points s to n - 1 for every ``s``
@@ -269,7 +261,7 @@ def _suffix_extents(rows: Callable[[int, int], np.ndarray], n: int, d: int,
     row index towards ``limit`` and never pass it, that equal ``limit`` at
     every row after the first that does, and that are within 1e-12 relative
     of exact monotone values wherever they are normal floats
-    (``u.monotone_flow`` of a curve whose limit is Px).  Then a segment
+    (``AlmostOrbit.limit`` gives such a limit, Px).  Then a segment
     between starts of at least ``_END_READ_MIN`` rows is read at its first
     and last ``_END_ROWS`` rows first, and its interior is skipped when both
     of its sides are bounded.  Let v_p and v_q be the two innermost values
@@ -412,12 +404,6 @@ def _pair_squares(points: np.ndarray, coords: np.ndarray, i0: int, i1: int,
         # numpy's pairwise summation regroups 8 or more terms
         ((points[i0:i1, None, :] - points[None, i0:, :]) ** 2).sum(-1, out=sq)
     return sq
-
-
-def _diameter(points: np.ndarray) -> float:
-    """Largest pairwise distance among row vectors; the one-suffix case of
-    ``_suffix_diameters``."""
-    return _suffix_diameters(points, [0])[0]
 
 
 def _grid_length(lo: float, hi: float, step: float) -> int | float:
@@ -587,20 +573,22 @@ def verify_flow_pairing_dip(
 
 # --------------------------------------------------------- Cauchy verifiers
 
-def _verify_pairwise(
-    scenario: str,
+def verify_orbit_cauchy(
     u: AlmostOrbit,
     threshold: Callable[[int], int],
     k_range: Sequence[int],
-    grid_step: float,
-    horizon_pad: float,
-    tol: float,
-    provenance: dict | None = None,
+    grid_step: float = 0.25,
+    horizon_pad: float = 10.0,
+    tol: float = 1e-9,
 ) -> Report:
-    """For every k, the largest distance between values of the curve ``u``
-    at points of the grid ``np.arange(t_lo, horizon + grid_step / 2,
-    grid_step)`` from threshold(k) on must be at most 1/(k+1) + tol; t_lo is
-    the smallest threshold and horizon the largest plus ``horizon_pad``.
+    """Check ||u(t) - u(t')|| <= 1/(k+1) for all grid pairs t, t' beyond
+    threshold(k): for every k, the largest distance between values of the
+    curve ``u`` at points of the grid ``np.arange(t_lo, horizon + grid_step
+    / 2, grid_step)`` from threshold(k) on must be at most 1/(k+1) + tol;
+    t_lo is the smallest threshold and horizon the largest plus
+    ``horizon_pad``.  A flow orbit is the almost-orbit with c = 0.  The
+    report's provenance names the operator and adds the threshold's own
+    ``provenance``, if it has one.
 
     The grid is never built whole.  Its length comes from np.arange's
     formula and is capped by ``MAX_GRID_POINTS``, and each threshold's
@@ -608,15 +596,10 @@ def _verify_pairwise(
     then evaluates ``u`` from the first threshold on, on the grid rows of
     ``_grid_rows``: in slices of ``_SLICE_ROWS`` in R^1, and in one call,
     refused beforehand beyond ``EXACT_DIAMETER_ROWS``, in R^d for d > 1.
-
-    ``u.monotone_flow`` says the 1-d curve moves monotonically in t
-    towards Px, the nearest zero of its start x, up to rounding far below
-    ``_PRUNE_MARGIN``, never passes Px, and stays at Px once it returns it.
-    Grid rows are non-decreasing in t, so Px is the ``limit`` promise of
-    ``_suffix_extents``, which then reads only the ends of each long
-    segment between thresholds whose interior cannot hold an extreme:
-    segments bounded by margins, and settled ones that end at Px.  Every
-    spread is the same float as from a full read.
+    Grid rows are non-decreasing in t, so ``u.limit`` is the ``limit``
+    promise of ``_suffix_extents``, which then reads only the ends of each
+    long segment between thresholds whose interior cannot hold an extreme.
+    Every spread is the same float as from a full read.
     """
     ks = sorted(int(k) for k in k_range)
     thresholds = {k: int(threshold(k)) for k in ks}
@@ -627,69 +610,21 @@ def _verify_pairwise(
     horizon = top + horizon_pad
     n_points = _capped_length(t_lo, horizon, grid_step)
     report = Report(
-        scenario=scenario,
-        provenance=dict(provenance or {}),
+        scenario="orbit-cauchy",
+        provenance={"operator": u.operator.name, **getattr(threshold, "provenance", {})},
         # flow values come from exact oracles, so no evaluator error widens the slack
         grid={"grid_step": grid_step, "horizon": float(horizon), "points": n_points,
               "err_bound": 0.0},
     )
     starts = [_grid_index(t_lo, grid_step, n_points, thresholds[k] - 1e-9) for k in ks]
-    limit = None
-    if u.operator.dim == 1 and u.monotone_flow:
-        limit = float(u.operator.zero_projection(u.initial)[0])
     extents = _suffix_extents(lambda i0, i1: u.evaluate_many(_grid_rows(t_lo, grid_step, i0, i1)),
-                              n_points, u.operator.dim, starts, limit)
+                              n_points, u.operator.dim, starts, u.limit)
     for k, extent in zip(ks, extents):
         row = _row(k, thresholds[k], extent, tol, detail={"pairs": "exact"})
         report.rows.append(row)
         if row.status == FAIL:
             report.violations.append({"k": k, "threshold": thresholds[k], "extent": extent})
     return report
-
-
-def verify_cauchy_rate(
-    op: AccretiveOperator,
-    x,
-    threshold: CertifiedThreshold,
-    k_range: Sequence[int],
-    grid_step: float = 0.25,
-    horizon_pad: float = 10.0,
-    tol: float = 1e-9,
-) -> Report:
-    """Check ||S(s)x - S(s')x|| <= 1/(k+1) for all grid pairs s, s' beyond
-    threshold(k), on the flow orbit: the almost-orbit from x with c = 0."""
-    return _verify_pairwise(
-        scenario="cauchy-rate",
-        u=make_almost_orbit(op, x),
-        threshold=threshold,
-        k_range=k_range,
-        grid_step=grid_step,
-        horizon_pad=horizon_pad,
-        tol=tol,
-        provenance={"operator": op.name, **getattr(threshold, "provenance", {})},
-    )
-
-
-def verify_orbit_cauchy(
-    u: AlmostOrbit,
-    threshold: Callable[[int], int],
-    k_range: Sequence[int],
-    grid_step: float = 0.25,
-    horizon_pad: float = 10.0,
-    tol: float = 1e-9,
-    provenance: dict | None = None,
-) -> Report:
-    """Check ||u(t) - u(t')|| <= 1/(k+1) for all grid pairs beyond threshold(k)."""
-    return _verify_pairwise(
-        scenario="orbit-cauchy",
-        u=u,
-        threshold=threshold,
-        k_range=k_range,
-        grid_step=grid_step,
-        horizon_pad=horizon_pad,
-        tol=tol,
-        provenance=provenance,
-    )
 
 
 # ---------------------------------------------------- metastability verifier
@@ -704,12 +639,19 @@ def verify_metastability(
 ) -> Report:
     """For each k and counterfunction f, search n <= gamma_bound(k, f) for a
     window [n, n + f(n)] on which the orbit moves at most 1/(k+1) + tol;
-    report the witnessing n."""
+    report the witnessing n.
+
+    A window's extent is the one-suffix case of ``_suffix_extents`` on its
+    grid ``_window_grid``, with the ``u.limit`` promise: a 1-d window is
+    read in slices and, when long and monotone, at its ends only, and a
+    d > 1 window beyond ``EXACT_DIAMETER_ROWS`` is refused before ``u`` is
+    evaluated on it."""
     report = Report(
         scenario="metastability",
         grid={"grid_step": grid_step},
         provenance={"operator": u.operator.name, "B": u.bound_B},
     )
+    limit = u.limit
     for k in sorted(int(k) for k in k_range):
         target = 1.0 / (k + 1)
         for f in counterfunctions:
@@ -727,7 +669,8 @@ def verify_metastability(
                         f"metastability search at k={k} exceeded the evaluation budget"
                     )
                 budget -= ts.size
-                extent = _diameter(u.evaluate_many(ts))
+                extent = _suffix_extents(lambda i0, i1: u.evaluate_many(ts[i0:i1]), ts.size,
+                                         u.operator.dim, [0], limit)[0]
                 observed = min(observed, extent)
                 if extent <= target + tol:
                     witness = n
@@ -1061,14 +1004,16 @@ def _ks(cfg: ExperimentConfig) -> range:
     return range(lo, hi + 1)
 
 
-def _cauchy(cfg: ExperimentConfig, op: AccretiveOperator, x, threshold) -> Report:
-    return verify_cauchy_rate(op, x, threshold, _ks(cfg), grid_step=cfg.grid_step,
-                              horizon_pad=cfg.horizon_pad, tol=cfg.tolerance)
+def _cauchy(cfg: ExperimentConfig, u: AlmostOrbit, threshold) -> Report:
+    return verify_orbit_cauchy(u=u, threshold=threshold, k_range=_ks(cfg),
+                               grid_step=cfg.grid_step, horizon_pad=cfg.horizon_pad,
+                               tol=cfg.tolerance)
 
 
 def _nr(cfg: ExperimentConfig) -> Report:
     op, x, weak = _audit(cfg, _cfg_point)
-    return _cauchy(cfg, op, x, orbit_cauchy_threshold(NRInputs.from_point(op, x, weak)))
+    threshold = orbit_cauchy_threshold(NRInputs.from_point(op, x, weak))
+    return _cauchy(cfg, make_almost_orbit(op, x), threshold)
 
 
 def _nr_closure(cfg: ExperimentConfig) -> Report:
@@ -1079,7 +1024,8 @@ def _nr_closure(cfg: ExperimentConfig) -> Report:
     x_norm = _norm_bound(spec, "x_norm_bound", "||x||", norm(x))
     x_dist = _norm_bound(spec, "x_dist_bound", "||x - Px||", norm(x - op.zero_projection(x)))
     spec.done()
-    return _cauchy(cfg, op, x, closure_cauchy_threshold(weak, f, p_norm, x_norm, x_dist))
+    threshold = closure_cauchy_threshold(weak, f, p_norm, x_norm, x_dist)
+    return _cauchy(cfg, make_almost_orbit(op, x), threshold)
 
 
 def _xu_meta(cfg: ExperimentConfig) -> Report:
@@ -1100,9 +1046,9 @@ def _xu_roc(cfg: ExperimentConfig) -> Report:
     if _cfg_functional(cfg) is not None:
         raise ConfigurationError("phi", "xu-roc uses the orbit's own defect rate")
     inputs = XuInputs.from_orbit(orbit, weak, omega=_cfg_omega(cfg))
-    return verify_orbit_cauchy(orbit, lambda k: almost_orbit_cauchy_threshold(inputs, k),
-                               _ks(cfg), grid_step=cfg.grid_step, horizon_pad=cfg.horizon_pad,
-                               tol=cfg.tolerance, provenance=inputs.provenance)
+    threshold = CertifiedThreshold(lambda k: almost_orbit_cauchy_threshold(inputs, k),
+                                   inputs.provenance)
+    return _cauchy(cfg, orbit, threshold)
 
 
 def _modulus_check(cfg: ExperimentConfig) -> Report:

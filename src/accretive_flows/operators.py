@@ -56,8 +56,9 @@ class AccretiveOperator:
     Subclasses implement the row-batched methods; the one-point forms here
     are row 0 of a one-row batch.
 
-    ``monotone_flow`` opts a class in to the Cauchy verifiers' end-read of
-    1-d segments (``harness._suffix_extents``).  On R every orbit of an
+    ``monotone_flow`` opts a class in to the verifiers' end-read of 1-d
+    segments (``harness._suffix_extents``); ``AlmostOrbit.limit`` reads the
+    flag and decides which curve gets the end-read.  On R every orbit of an
     accretive operator is monotone: S(t) fixes each zero and is
     nonexpansive, so the orbit moves towards Px, the nearest zero of its
     start x, and never crosses a zero.  A class may set the flag only if

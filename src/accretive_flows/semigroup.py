@@ -135,26 +135,28 @@ class AlmostOrbit:
         return flow + (self.c / (1.0 + ts))[:, None] * self.direction[None, :]
 
     @property
-    def monotone_flow(self) -> bool:
-        """The ``AccretiveOperator.monotone_flow`` promise for u on R, with
-        limit Px.
+    def limit(self) -> float | None:
+        """Px, the nearest zero of the start x, when u lives on R and keeps
+        the ``AccretiveOperator.monotone_flow`` promise towards it; else
+        None, which promises nothing.  This is the ``limit`` of the
+        verifiers' end-read (``harness._suffix_extents``).
 
-        S(t)x moves monotonically from x to Px, the nearest zero, and
-        c/(1+t) e shrinks towards 0.  If c = 0, or Px e >= 0 and (x - Px) e
-        >= 0, both terms move the same way, so u is monotone, and the two
-        terms have the same sign, so their sum adds no cancellation.  Then
-        (a) flow + c/(1+t) e never passes Px, since a rounded sum of two
-        same-signed terms is at least as large in magnitude as either, and
-        (b) it equals Px only where the flow does and c/(1+t) e rounds away
+        S(t)x moves monotonically from x to Px, and c/(1+t) e shrinks
+        towards 0.  If c = 0, or Px e >= 0 and (x - Px) e >= 0, both terms
+        move the same way, so u is monotone, and the two terms have the
+        same sign, so their sum adds no cancellation.  Then (a) flow +
+        c/(1+t) e never passes Px, since a rounded sum of two same-signed
+        terms is at least as large in magnitude as either, and (b) it
+        equals Px only where the flow does and c/(1+t) e rounds away
         against it (or is 0); the flow stays at Px, and c/(1+t) only
         shrinks, so u stays at Px at every later time."""
-        if not self.operator.monotone_flow:
-            return False
-        if self.c == 0:
-            return True
-        x, e = self.initial, self.direction
-        p = self.operator.zero_projection(x)
-        return float(p @ e) >= 0 and float((x - p) @ e) >= 0
+        op, x, e = self.operator, self.initial, self.direction
+        if op.dim != 1 or not op.monotone_flow:
+            return None
+        p = op.zero_projection(x)
+        if self.c == 0 or (float(p @ e) >= 0 and float((x - p) @ e) >= 0):
+            return float(p[0])
+        return None
 
 
 def _harmonic_decay_rate(c: float) -> Callable[[int], int]:

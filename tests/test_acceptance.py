@@ -38,7 +38,6 @@ from accretive_flows import (
     resolvent_power,
     run_experiment,
     simple_from_full,
-    verify_cauchy_rate,
     verify_flow_pairing_dip,
     verify_integrable_dip,
     verify_metastability,
@@ -97,8 +96,8 @@ def test_criterion_03_cauchy_certificate_scaled_identity():
     inp = NRInputs.from_point(op, [2.0], weak)
     threshold = orbit_cauchy_threshold(inp)
     assert [threshold(k) for k in range(6)] == [12 * (k + 1) ** 2 for k in range(6)]
-    report = verify_cauchy_rate(
-        op, [2.0], threshold, k_range=range(6), grid_step=0.25,
+    report = verify_orbit_cauchy(
+        make_almost_orbit(op, [2.0]), threshold, k_range=range(6), grid_step=0.25,
         horizon_pad=10.0, tol=1e-9,
     )
     assert report.passed, report.violations
@@ -112,8 +111,8 @@ def test_criterion_04_cauchy_certificate_quartic():
     inp = NRInputs.from_point(op, [3.0], weak)
     assert (inp.b, inp.K) == (2, 32)
     threshold = orbit_cauchy_threshold(inp)
-    report = verify_cauchy_rate(
-        op, [3.0], threshold, k_range=range(6), grid_step=0.25,
+    report = verify_orbit_cauchy(
+        make_almost_orbit(op, [3.0]), threshold, k_range=range(6), grid_step=0.25,
         horizon_pad=10.0, tol=1e-9,
     )
     assert report.passed, report.violations

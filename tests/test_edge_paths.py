@@ -22,7 +22,8 @@ from accretive_flows import (
     run_experiment,
     sample_graph_pairs,
     dirichlet_laplacian_1d,
-    verify_cauchy_rate,
+    rate_from_spec,
+    verify_metastability,
     verify_orbit_cauchy,
 )
 from accretive_flows import harness
@@ -32,15 +33,13 @@ from accretive_flows.harness import (
     _END_READ_MIN,
     _END_ROWS,
     _SLICE_ROWS,
-    _diameter,
     _grid_index,
     _grid_length,
     _grid_point,
     _grid_rows,
-    _suffix_diameters,
     _suffix_extents,
 )
-from accretive_flows.operators import AccretiveOperator, QuarticWell, ScaledIdentity
+from accretive_flows.operators import AccretiveOperator, QuarticWell, ScaledIdentity, SPDLinear
 
 from accretivity import check_accretive
 
@@ -48,6 +47,11 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ----------------------------------------------------------- diameter helper
+
+def _suffix_diameters(points, starts):
+    # _suffix_extents of rows held in memory
+    return _suffix_extents(lambda i0, i1: points[i0:i1], *points.shape, starts)
+
 
 def _brute_diameter(points):
     best = 0.0
@@ -60,24 +64,25 @@ def _brute_diameter(points):
 def test_diameter_exact_matches_brute_force(rng):
     for d in (1, 2, 3):
         pts = rng.normal(size=(60, d))
-        assert _diameter(pts) == pytest.approx(_brute_diameter(pts), abs=1e-12)
+        assert _suffix_diameters(pts, [0]) == [pytest.approx(_brute_diameter(pts), abs=1e-12)]
 
 
 def test_diameter_refuses_d_above_one_beyond_exact_limit(rng):
     with pytest.raises(ResourceLimitError, match=r"5000 points in R\^2 exceeds 4096 rows"):
-        _diameter(rng.normal(size=(5000, 2)))
+        _suffix_diameters(rng.normal(size=(5000, 2)), [0])
     col = rng.normal(size=(5000, 1))
-    assert _diameter(col) == float(col.max() - col.min())  # 1-d stays exact at any length
+    # 1-d stays exact at any length
+    assert _suffix_diameters(col, [0]) == [float(col.max() - col.min())]
 
 
 def test_diameter_degenerate_cases():
-    assert _diameter(np.zeros((1, 3))) == 0.0
-    assert _diameter(np.zeros((0, 2))) == 0.0
-    assert _diameter(np.zeros((0, 1))) == 0.0
+    assert _suffix_diameters(np.zeros((1, 3)), [0]) == [0.0]
+    assert _suffix_diameters(np.zeros((0, 2)), [0]) == [0.0]
+    assert _suffix_diameters(np.zeros((0, 1)), [0]) == [0.0]
 
 
 def _diameter_reference(points):
-    # the per-suffix formula _suffix_diameters replaced, kept as the oracle
+    # the per-suffix formula _suffix_extents replaced, kept as the oracle
     n, d = points.shape
     if n <= 1:
         return 0.0
@@ -443,9 +448,11 @@ def test_end_read_keeps_the_interior_next_to_a_flat_end(flat_end, sign):
 
 
 def _flow_curve(data):
-    """``(operator, start)`` for an opted-in 1-d operator, or ``(u, None)``
-    for an almost-orbit on it with e = +-1, which opts in only when it
-    moves with the flow."""
+    """``(u, many)``: a curve on an opted-in 1-d operator and an evaluation
+    of it on a batch of times.  u is the flow orbit from a start x, whose
+    ``limit`` is Px and which ``many`` evaluates by the operator's own
+    ``exact_flow_many``, or an almost-orbit on it with e = +-1, whose
+    ``limit`` is Px only when it moves with the flow."""
     kind = data.draw(st.sampled_from(["scaled-identity", "spd-1x1", "quartic"]))
     if kind == "quartic":
         op = make_quartic_well()
@@ -457,12 +464,14 @@ def _flow_curve(data):
     assert op.monotone_flow
     c = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
     e = data.draw(st.sampled_from([1.0, -1.0, None]))
-    if e is None:
-        return op, [x]
-    u = make_almost_orbit(op, [x], c, [e])
     p = float(op.zero_projection([x])[0])
-    assert u.monotone_flow == (c == 0 or (p * e >= 0 and (x - p) * e >= 0))
-    return u, None
+    if e is None:
+        u = make_almost_orbit(op, [x])
+        assert u.limit == p
+        return u, lambda ts: op.exact_flow_many([x], ts)
+    u = make_almost_orbit(op, [x], c, [e])
+    assert u.limit == (p if c == 0 or (p * e >= 0 and (x - p) * e >= 0) else None)
+    return u, u.evaluate_many
 
 
 #: thresholds up to 1,000: at a rate above 0.75 a grid reaches the exp
@@ -472,13 +481,8 @@ def _flow_curve(data):
        st.floats(0.02, 0.5), st.floats(0.0, 40.0), st.data())
 @settings(max_examples=150, deadline=None)
 def test_monotone_cauchy_checks_equal_the_full_grid(thresholds, step, pad, data):
-    curve, x = _flow_curve(data)
-    if x is None:
-        report = verify_orbit_cauchy(curve, thresholds.get, thresholds, step, pad)
-        many = curve.evaluate_many
-    else:
-        report = verify_cauchy_rate(curve, x, thresholds.get, thresholds, step, pad)
-        many = lambda ts: curve.exact_flow_many(x, ts)  # noqa: E731
+    curve, many = _flow_curve(data)
+    report = verify_orbit_cauchy(curve, thresholds.get, thresholds, step, pad)
     grid = np.arange(min(thresholds.values()), max(thresholds.values()) + pad + step / 2, step)
     points = many(grid)
     want = [_diameter_reference(points[np.searchsorted(grid, thresholds[k] - 1e-9):])
@@ -522,11 +526,14 @@ class _UnmarkedQuartic(AccretiveOperator):
 
 def test_cauchy_check_without_the_opt_in_reads_every_row(monkeypatch):
     assert not _UnmarkedQuartic.monotone_flow
+    unmarked = make_almost_orbit(_UnmarkedQuartic(), [3.0])
+    assert unmarked.limit is None
     rows = _count_flow_rows(monkeypatch, _UnmarkedQuartic)
     thresholds = {0: 48, 1: 768, 2: 3888}
-    plain = verify_cauchy_rate(_UnmarkedQuartic(), [3.0], thresholds.get, range(3))
+    plain = verify_orbit_cauchy(unmarked, thresholds.get, range(3))
     assert rows[0] == plain.grid["points"] == 15_401
-    marked = verify_cauchy_rate(make_quartic_well(), [3.0], thresholds.get, range(3))
+    marked = verify_orbit_cauchy(make_almost_orbit(make_quartic_well(), [3.0]), thresholds.get,
+                                 range(3))
     assert marked.to_dict()["rows"] == plain.to_dict()["rows"]
 
 
@@ -536,11 +543,59 @@ def test_multi_d_cauchy_suffix_is_refused_before_any_row_is_evaluated():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match=r"100001 points in R\^16 exceeds 4096"):
-            verify_cauchy_rate(op, [1.0] * 16, lambda k: 0, [0], horizon_pad=25000.0)
+            verify_orbit_cauchy(make_almost_orbit(op, [1.0] * 16), lambda k: 0, [0],
+                                horizon_pad=25000.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_multi_d_metastability_window_is_refused_before_any_row_is_evaluated(monkeypatch):
+    # an 80,001-point window in R^16: 10.2 MB for each flow temporary
+    u = make_almost_orbit(make_spd_linear(dirichlet_laplacian_1d(16)), [1.0] * 16)
+    assert u.limit is None
+    rows = _count_flow_rows(monkeypatch, SPDLinear)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"80001 points in R\^16 exceeds 4096"):
+            verify_metastability(u, lambda k, f: 0, [0], [rate_from_spec({"const": 20000})])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows[0] == 0
+    assert peak < 1 << 20
+
+
+def _full_read_extents(rows, n, d, starts, limit=None):
+    # every row, in one call, through the reference diameter
+    points = rows(0, n)
+    return [_diameter_reference(points[s:]) for s in starts]
+
+
+@pytest.mark.parametrize("width", [600, 5000])  # windows of 2,401 and 20,001 grid points
+@pytest.mark.parametrize("c, e, limit", [
+    (0.0, 1.0, 0.0),  # the flow orbit 2e^-t: monotone, settles at Px = 0
+    (1.0, -1.0, None),  # 2e^-t - 1/(1+t): turns below 0, so read in full
+])
+def test_long_metastability_windows_equal_the_full_read(width, c, e, limit, monkeypatch):
+    u = make_almost_orbit(make_scaled_identity(1.0, 1), [2.0], c, [e])
+    assert u.limit == limit
+    args = (u, lambda k, f: 12, range(4), [rate_from_spec({"const": width})])
+    rows = _count_flow_rows(monkeypatch, ScaledIdentity)
+    got = verify_metastability(*args)
+    read = rows[0]
+    monkeypatch.setattr(harness, "_suffix_extents", _full_read_extents)
+    want = verify_metastability(*args)
+    assert None not in [r.witness for r in got.rows]
+    assert _bits([r.worst_observed for r in got.rows]).tolist() == _bits(
+        [r.worst_observed for r in want.rows]).tolist()
+    assert got.to_dict() == want.to_dict()
+    full = rows[0] - read
+    assert full > _SLICE_ROWS if width == 5000 else full > _END_READ_MIN
+    # the monotone windows are read at their ends, the others in full
+    windows = sum(r.witness + 1 for r in got.rows)
+    assert read == (full if limit is None else 2 * _END_ROWS * windows)
 
 
 @pytest.mark.parametrize("name, k_range, points", [
@@ -588,7 +643,8 @@ def test_grid_cap_refuses_before_allocating_the_grid():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="needs 4500001 grid points"):
-            verify_cauchy_rate(op, [1.0], lambda k: 0, [0], grid_step=1e-4, horizon_pad=450.0)
+            verify_orbit_cauchy(make_almost_orbit(op, [1.0]), lambda k: 0, [0], grid_step=1e-4,
+                                horizon_pad=450.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -747,7 +803,7 @@ def test_scaled_identity_alpha_not_one_full_chain():
     # a = ceil(1/alpha) = 4 certifies alpha = 0.3
     from accretive_flows import (
         NRInputs, full_modulus_strongly_accretive, make_scaled_identity,
-        orbit_cauchy_threshold, verify_cauchy_rate, weak_from_full,
+        orbit_cauchy_threshold, verify_orbit_cauchy, weak_from_full,
     )
 
     op = make_scaled_identity(0.3, 2)
@@ -759,5 +815,6 @@ def test_scaled_identity_alpha_not_one_full_chain():
     assert not report.violations
     x = [1.5, -0.5]
     inp = NRInputs.from_point(op, x, weak)
-    cauchy = verify_cauchy_rate(op, x, orbit_cauchy_threshold(inp), k_range=range(3))
+    cauchy = verify_orbit_cauchy(make_almost_orbit(op, x), orbit_cauchy_threshold(inp),
+                                 k_range=range(3))
     assert cauchy.passed

@@ -29,7 +29,6 @@ from accretive_flows import (
     registered_pairs,
     run_experiment,
     simple_from_full,
-    verify_cauchy_rate,
     verify_flow_pairing_dip,
     verify_integrable_dip,
     verify_metastability,
@@ -223,8 +222,8 @@ def test_dip_verifiers_evaluate_the_curve_once_per_window_start(name, n_max, mon
 
 def test_cauchy_rate_scaled_identity(scaled_identity):
     inp = NRInputs.from_point(scaled_identity, [2.0], _weak_sacc())
-    report = verify_cauchy_rate(scaled_identity, [2.0], orbit_cauchy_threshold(inp),
-                                k_range=range(3))
+    report = verify_orbit_cauchy(make_almost_orbit(scaled_identity, [2.0]),
+                                 orbit_cauchy_threshold(inp), k_range=range(3))
     assert report.passed
     # at k=0 the flow beyond t=12 is within 2e^{-12} of its limit
     assert report.rows[0].worst_observed <= 2.0 * math.exp(-12.0) + 1e-12
@@ -233,8 +232,8 @@ def test_cauchy_rate_scaled_identity(scaled_identity):
 
 def test_cauchy_rate_stationary_start(scaled_identity):
     inp = NRInputs.from_point(scaled_identity, [0.0], _weak_sacc())
-    report = verify_cauchy_rate(scaled_identity, [0.0], orbit_cauchy_threshold(inp),
-                                k_range=range(3))
+    report = verify_orbit_cauchy(make_almost_orbit(scaled_identity, [0.0]),
+                                 orbit_cauchy_threshold(inp), k_range=range(3))
     assert report.passed
     assert all(r.worst_observed == 0.0 for r in report.rows)
 
@@ -244,8 +243,8 @@ def test_cauchy_rate_refuses_oversized_grids(scaled_identity):
 
     inp = NRInputs.from_point(scaled_identity, [2.0], _weak_sacc())
     with pytest.raises(ResourceLimitError):
-        verify_cauchy_rate(scaled_identity, [2.0], orbit_cauchy_threshold(inp),
-                           k_range=range(6), grid_step=1e-5)
+        verify_orbit_cauchy(make_almost_orbit(scaled_identity, [2.0]),
+                            orbit_cauchy_threshold(inp), k_range=range(6), grid_step=1e-5)
 
 
 def test_orbit_cauchy_small(orbit_c1):

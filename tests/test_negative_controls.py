@@ -31,10 +31,10 @@ def _zero_gamma(verify):
 
 
 CONTROLS = [
-    ("nr_scaled_identity.json", {}, "_verify_pairwise", _zero_threshold),
-    ("nr_quartic.json", {}, "_verify_pairwise", _zero_threshold),
-    ("nr_closure_scaled_identity.json", {}, "_verify_pairwise", _zero_threshold),
-    ("xu_roc_scaled_identity.json", {}, "_verify_pairwise", _zero_threshold),
+    ("nr_scaled_identity.json", {}, "verify_orbit_cauchy", _zero_threshold),
+    ("nr_quartic.json", {}, "verify_orbit_cauchy", _zero_threshold),
+    ("nr_closure_scaled_identity.json", {}, "verify_orbit_cauchy", _zero_threshold),
+    ("xu_roc_scaled_identity.json", {}, "verify_orbit_cauchy", _zero_threshold),
     ("liminf_integral.json", {}, "_dip_windows", _zero_width),
     ("liminf_flow_quartic.json", {}, "_dip_windows", _zero_width),
     # every shipped counterfunction has f(0) = 0, so the n = 0 window is a
