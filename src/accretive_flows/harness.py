@@ -251,11 +251,12 @@ def _suffix_extents(rows: Callable[[int, int], np.ndarray], n: int, d: int,
     between the starts and the slice edges, and a reversed running max and
     min of the segments gives every suffix spread.  Max and min are exact and
     carry NaN, so the spread is the float that max - min of the whole suffix
-    gives.  For d > 1, ``_suffix_square_maxima`` scans the pairs block by
-    block and skips the blocks a triangle-inequality bound rules out; it
-    returns the same floats as a scan of every pair.  A d > 1 suffix longer
-    than ``EXACT_DIAMETER_ROWS`` raises ResourceLimitError before any point
-    is read.
+    gives.  For d > 1, ``_suffix_square_maxima`` scans each start's first
+    row against every later row, then only the pairs a triangle-inequality
+    bound cannot rule out; it returns the same floats as a scan of every
+    pair, NaN and infinite squares included.  A d > 1 suffix longer than
+    ``EXACT_DIAMETER_ROWS`` raises ResourceLimitError before any point is
+    read.
 
     A float ``limit`` promises 1-d points that move monotonically in the
     row index towards ``limit`` and never pass it, that equal ``limit`` at
@@ -275,8 +276,9 @@ def _suffix_extents(rows: Callable[[int, int], np.ndarray], n: int, d: int,
     normal value by about 1e-12 relative and a subnormal one by a few
     2**-1074, both far below h; so the interior holds neither extreme of
     the segment, and each spread is still the same float.  Otherwise (flat
-    ends away from the limit, subnormal or non-finite ends) the interior
-    joins the fold, so every row is read once.
+    ends away from the limit, subnormal ends, or a NaN or infinite end,
+    which fails every bound) the interior joins the fold, so every row is
+    read once.
     """
     cuts = sorted({s for s in starts if s < n - 1})
     exact = {}
@@ -338,72 +340,66 @@ def _suffix_square_maxima(points: np.ndarray, cuts: list[int]) -> np.ndarray:
     """Largest squared distance among the rows of ``points[c:]`` for each of
     the sorted ``cuts``, the first of which is 0.
 
-    The cut segments are scanned from the last to the first in row blocks,
-    each block against every row from its own start on, carrying ``best``,
-    the largest square found so far.  Every row of a segment lies in the
-    suffix of its cut, so ``best`` after a segment is that cut's value.
+    The cut segments [c, e) are scanned from the last to the first, carrying
+    ``best``, the largest square found so far.  Each segment scans or rules
+    out every pair (i, j) with c <= i < e and i < j, so ``best`` after it is
+    its cut's value.  Row c goes first, against every later row (never
+    itself, where an infinite coordinate gives inf - inf = NaN): on a
+    converging flow it is the row farthest from the limit, so its squares
+    set ``best`` near its final value at once.
 
-    A block is skipped when the triangle inequality through the last row
-    (the pivot) shows no pair in it can exceed ``best``.  With sqD_i the
-    squared distance from row i to the pivot, e_i = (sqrt(sqD_i) +
-    sqrt(d * 2**-1074)) * (1 + 1e-9) bounds that distance despite rounding
-    and subnormal squares, and the block is skipped when (max e over the
-    block + max e from its start on) * (1 + 1e-9) <= sqrt(best) * (1 - 1e-9).
-    The margins outweigh the rounding of every computed pair, so a skipped
-    pair's square is below ``best``; every square that is kept comes from
-    ``_pair_squares``, so each result is the same float a scan of every pair
-    gives.  Nothing is skipped while ``best`` is below the smallest normal
-    float, where relative margins fail, or infinite, where a pair of rows
-    with the same infinite coordinate gives a NaN that an infinite bound
-    cannot rule out; a NaN row has a NaN bound and is never skipped either.
+    The rest is pruned by the triangle inequality through the last row (the
+    pivot).  With sqD_i the squared distance from row i to the pivot, e_i =
+    (sqrt(sqD_i) + sqrt(d * 2**-1074)) * (1 + 1e-9) bounds that distance
+    despite rounding and squares that underflow to subnormals or zero.  Let
+    limit = sqrt(best) * (1 - 1e-9) / (1 + 1e-9).  A row i in (c, e) is
+    dropped when e_i + max e over (c, n) <= limit, and a column j in (c, n)
+    when e_j + max e over the kept rows <= limit.  The margins outweigh the
+    rounding of every computed pair, so a dropped pair's square is below
+    ``best``.  The kept rows are scanned in chunks of ``_DIAMETER_BLOCK``
+    against the kept columns after them.  Every kept square comes from
+    ``_pair_squares`` and folds into ``best`` by max, which keeps NaN, so
+    each result is the same float a scan of every pair gives.  Nothing is
+    dropped while ``best`` is below the smallest normal float, where
+    relative margins fail, or infinite, where two rows with the same
+    infinite coordinate give a NaN square that their infinite e cannot rule
+    out.  A NaN row has a NaN e, which no test drops; its square with row c
+    is NaN, so ``best`` is NaN before any pruning.
     """
     n, d = points.shape
     coords = np.ascontiguousarray(points.T)
-    earlier = np.tri(_DIAMETER_BLOCK, dtype=bool)  # pairs j <= i inside a block
-    sq_buf, diff_buf = np.empty((2, _DIAMETER_BLOCK * n))
-    # block starts: every _DIAMETER_BLOCK rows, split at the cuts
-    starts = np.union1d(np.arange(0, n, _DIAMETER_BLOCK), cuts)
     reach = np.sqrt(np.square(points - points[-1]).sum(axis=1))  # e_i
     reach += math.sqrt(d * _SUBNORMAL_MIN)
     reach *= 1.0 + _PRUNE_MARGIN
-    bounds = np.maximum.reduceat(reach, starts)
-    bounds += np.maximum.accumulate(reach[::-1])[::-1][starts]
-    bounds *= 1.0 + _PRUNE_MARGIN
-    blocks = list(zip(starts.tolist(), starts[1:].tolist() + [n], bounds.tolist()))
-    firsts = np.searchsorted(starts, cuts).tolist() + [len(blocks)]
     best, out = 0.0, []
-    for seg in reversed(range(len(cuts))):
-        for i0, i1, bound in blocks[firsts[seg]:firsts[seg + 1]]:
-            if (_FLOAT_MIN_NORMAL <= best < math.inf
-                    and bound <= math.sqrt(best) * (1.0 - _PRUNE_MARGIN)):
-                continue
-            sq = _pair_squares(points, coords, i0, i1, sq_buf, diff_buf)
-            sq[:, :i1 - i0][earlier[:i1 - i0, :i1 - i0]] = 0.0
-            best = float(np.maximum(best, sq.max()))  # a NaN square stays NaN
+    for c, e in reversed(list(zip(cuts, cuts[1:] + [n]))):
+        later = np.arange(c + 1, n)
+        best = float(_pair_squares(points, coords, [c], later).max(initial=best))
+        limit = -math.inf  # drops nothing
+        if _FLOAT_MIN_NORMAL <= best < math.inf:
+            limit = math.sqrt(best) * (1.0 - _PRUNE_MARGIN) / (1.0 + _PRUNE_MARGIN)
+        rows = later[:e - c - 1][~(reach[c + 1:e] + reach[c + 1:].max() <= limit)]
+        cols = later[~(reach[c + 1:] + reach[rows].max(initial=0.0) <= limit)]
+        for k in range(0, rows.size, _DIAMETER_BLOCK):
+            chunk = rows[k:k + _DIAMETER_BLOCK]
+            right = cols[np.searchsorted(cols, chunk[0], "right"):]
+            sq = _pair_squares(points, coords, chunk, right)
+            sq[right <= chunk[:, None]] = 0.0
+            best = float(sq.max(initial=best))  # a NaN square stays NaN
         out.append(best)
     return np.array(out[::-1])
 
 
-def _pair_squares(points: np.ndarray, coords: np.ndarray, i0: int, i1: int,
-                  sq_buf: np.ndarray, diff_buf: np.ndarray) -> np.ndarray:
-    """Squared distances from rows ``i0:i1`` of ``points`` to every row from
-    ``i0`` on, as a view of ``sq_buf``; ``coords`` is ``points.T``, contiguous."""
-    n, d = points.shape
-    b, width = i1 - i0, n - i0
-    sq = sq_buf[:b * width].reshape(b, width)
-    if d < 8:
-        # coordinate by coordinate, in order: the same bits numpy's sum
-        # gives for fewer than 8 terms, without a (b, width, d) temporary
-        diff = diff_buf[:b * width].reshape(b, width)
-        sq.fill(0.0)
-        for col in coords[:, i0:]:
-            np.subtract(col[:b, None], col[None, :], out=diff)
-            diff *= diff
-            sq += diff
-    else:
+def _pair_squares(points: np.ndarray, coords: np.ndarray, rows, cols) -> np.ndarray:
+    """Squared distances from the rows ``rows`` of ``points`` to the rows
+    ``cols``, as a ``(len(rows), len(cols))`` array; ``coords`` is
+    ``points.T``, contiguous."""
+    if points.shape[1] >= 8:
         # numpy's pairwise summation regroups 8 or more terms
-        ((points[i0:i1, None, :] - points[None, i0:, :]) ** 2).sum(-1, out=sq)
-    return sq
+        return ((points[rows][:, None, :] - points[cols][None, :, :]) ** 2).sum(-1)
+    # coordinate by coordinate, in order: the same bits numpy's sum gives for
+    # fewer than 8 terms, without a (rows, cols, d) temporary
+    return sum(np.subtract.outer(col[rows], col[cols]) ** 2 for col in coords)
 
 
 def _grid_length(lo: float, hi: float, step: float) -> int | float:

@@ -318,11 +318,9 @@ def check_full_modulus(
             {"k": k, "premise_threshold": premise_thr, "n_premise": int(np.count_nonzero(premise)),
              "worst_gap_under_premise": worst, "n_violations": n_bad}
         )
-        for idx in np.where(bad)[0][:max_reported].tolist():
-            report.violations.append(
-                {"k": k, "x": X[idx].tolist(), "pairing": float(pairings[idx]),
-                 "gap": float(gaps[idx])}
-            )
+        idx = np.flatnonzero(bad)[:max_reported]
+        report.violations += [{"k": k, "x": x, "pairing": p, "gap": g} for x, p, g in
+                              zip(X[idx].tolist(), pairings[idx].tolist(), gaps[idx].tolist())]
         if n_bad > max_reported:
             report.violations.append({"k": k, "truncated": n_bad - max_reported})
     return report
