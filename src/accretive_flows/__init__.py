@@ -9,7 +9,7 @@ too; no report uses it, and only the ``euler-chain`` bench workload runs it.
 """
 
 from .errors import ConfigurationError, ResourceLimitError
-from .space import Point, as_point, eta_hilbert, norm
+from .space import Point, as_point, norm
 from .operators import (
     AccretiveOperator,
     QuarticWell,
@@ -32,10 +32,7 @@ from .semigroup import (
 from .moduli import (
     FullModulusReport,
     RateExpr,
-    SequenceModulusReport,
     check_full_modulus,
-    check_simple_modulus,
-    check_weak_modulus,
     full_modulus_from_dyadic,
     full_modulus_linear,
     full_modulus_min_eigenvalue,
@@ -59,20 +56,16 @@ from .rates import (
     orbit_cauchy_threshold,
     orbit_metastability_bound,
     pairing_dip_rate,
-    projection_modulus_from_convexity,
     projection_modulus_identity,
     zero_gap_metastability_bound,
     zero_gap_threshold,
 )
 from .harness import (
-    CertifiedSequence,
     ExperimentConfig,
     Report,
     ReportRow,
     build_full_modulus,
     build_operator,
-    certified_graph_sequence,
-    empirical_rate_of_convergence,
     registered_pairs,
     run_experiment,
     verify_flow_pairing_dip,

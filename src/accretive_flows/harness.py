@@ -59,7 +59,6 @@ from .rates import (
     closure_cauchy_threshold,
     orbit_metastability_bound,
     pairing_dip_rate,
-    projection_modulus_from_convexity,
     projection_modulus_identity,
 )
 from .semigroup import AlmostOrbit, make_almost_orbit
@@ -75,9 +74,6 @@ __all__ = [
     "verify_flow_pairing_dip",
     "verify_orbit_cauchy",
     "verify_metastability",
-    "CertifiedSequence",
-    "empirical_rate_of_convergence",
-    "certified_graph_sequence",
     "registered_pairs",
     "build_operator",
     "build_full_modulus",
@@ -679,56 +675,6 @@ def verify_metastability(
     return report
 
 
-# ------------------------------------------------------ certified sequences
-
-@dataclass(frozen=True)
-class CertifiedSequence:
-    """A graph sequence, rows of (X, Y), with an empirically certified
-    pairing rate."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    phi: RateFn
-    K: int
-
-
-def empirical_rate_of_convergence(values: Sequence[float]) -> RateFn:
-    """Rate derived from suffix maxima of observed values.
-
-    phi(k) is the first index from which every later observed value stays
-    below 1/(k+1).  Thresholds never reached in the data map to len(values),
-    so downstream window checks fail loudly ("sequence too short") instead
-    of trusting an uncertified level.
-    """
-    arr = np.asarray(list(values), dtype=float)
-    suffix = np.maximum.accumulate(arr[::-1])[::-1]
-
-    def phi(k: int) -> int:
-        thr = 1.0 / (k + 1)
-        idx = np.searchsorted(-suffix, -thr)  # suffix is nonincreasing
-        return int(min(idx, len(suffix)))
-
-    phi.label = "empirical"
-    return phi
-
-
-def certified_graph_sequence(
-    op: AccretiveOperator, x0, count: int = 64, spacing: float = 1.0
-) -> CertifiedSequence:
-    """Graph pairs sampled along the exact flow from x0 at unit-ish spacing,
-    with the pairing rate certified from the data itself."""
-    ts = np.arange(count, dtype=float) * spacing
-    X = op.exact_flow_many(x0, ts)
-    Y = op.value_many(X)
-    PX = op.zero_projection_many(X)
-    pairings = np.abs(np.einsum("ij,ij->i", Y, X - PX))
-    K = int(math.ceil(max(
-        float(np.linalg.norm(X, axis=1).max()),
-        float(np.linalg.norm(Y, axis=1).max()),
-    )))
-    return CertifiedSequence(X=X, Y=Y, phi=empirical_rate_of_convergence(pairings), K=max(K, 1))
-
-
 # ---------------------------------------------------------------- registry
 
 def _named(field_name: str, convert, *args):
@@ -828,7 +774,6 @@ _MODULI = {
 
 _OMEGAS = {
     "identity": ("none", lambda s: projection_modulus_identity()),
-    "from-convexity": ("none", lambda s: projection_modulus_from_convexity()),
 }
 
 #: metastability functionals; None stands for the orbit's own rate
@@ -856,7 +801,7 @@ def build_full_modulus(spec: dict) -> FullModulus:
 
 
 def registered_pairs() -> list[tuple[str, AccretiveOperator, FullModulus]]:
-    """The canonical operator/modulus zoo used by conversion-chain checks."""
+    """The canonical operator/modulus zoo that ``list-instances`` prints."""
     return [(name, build_operator(op), build_full_modulus(full)) for name, op, full in (
         ("scaled-identity+strongly-accretive", {"kind": "scaled-identity", "alpha": 1.0, "dim": 1},
          {"kind": "strongly-accretive", "a": 1}),
@@ -883,7 +828,6 @@ def instance_listing() -> str:
 
 _INTEGRANDS = {
     "inv-square": lambda t: 1.0 / (1.0 + t) ** 2,
-    "zero": lambda t: 0.0,
 }
 
 

@@ -62,10 +62,7 @@ __all__ = [
     "weak_from_simple",
     "weak_from_full",
     "FullModulusReport",
-    "SequenceModulusReport",
     "check_full_modulus",
-    "check_simple_modulus",
-    "check_weak_modulus",
 ]
 
 RateFn = Callable[[int], int]
@@ -275,6 +272,12 @@ def _pairs_from_points(op: AccretiveOperator, points, K: float):
     return X[keep], Y[keep]
 
 
+def _pairings_and_gaps(op: AccretiveOperator, X, Y):
+    """|<y, x - Px>| and ||x - Px|| for every row of the graph sample (X, Y)."""
+    PX = op.zero_projection_many(X)
+    return np.abs(np.einsum("ij,ij->i", Y, X - PX)), np.linalg.norm(X - PX, axis=1)
+
+
 def check_full_modulus(
     op: AccretiveOperator,
     full: FullModulus,
@@ -324,119 +327,3 @@ def check_full_modulus(
         if n_bad > max_reported:
             report.violations.append({"k": k, "truncated": n_bad - max_reported})
     return report
-
-
-@dataclass
-class SequenceModulusReport:
-    """Window check of a chained (simple or weak) modulus on a test sequence."""
-
-    operator: str
-    kind: str
-    K: int
-    tol: float
-    premise_certified: bool
-    premise_failures: list[dict] = field(default_factory=list)
-    windows: list[dict] = field(default_factory=list)
-    violations: list[dict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.premise_certified and not self.violations
-
-
-def _pairings_and_gaps(op: AccretiveOperator, X, Y):
-    """|<y, x - Px>| and ||x - Px|| for every row of the graph sample (X, Y)."""
-    PX = op.zero_projection_many(X)
-    return np.abs(np.einsum("ij,ij->i", Y, X - PX)), np.linalg.norm(X - PX, axis=1)
-
-
-def _certify_premise(X, Y, pairings, phi: RateFn, K: int, tol: float,
-                     max_levels: int = 4096) -> list[dict]:
-    failures = []
-    n = len(pairings)
-    norms_x = np.linalg.norm(X, axis=1)
-    norms_y = np.linalg.norm(Y, axis=1)
-    if float(np.max(norms_x)) > K + tol or float(np.max(norms_y)) > K + tol:
-        failures.append({"reason": "norm-bound-exceeded",
-                         "max_norm": float(max(np.max(norms_x), np.max(norms_y)))})
-    # suffix maxima let every rate level be checked in O(1); levels whose
-    # start lies past the data are vacuous on it
-    suffix = np.maximum.accumulate(pairings[::-1])[::-1]
-    for k in range(max_levels):
-        start = int(phi(k))
-        if start >= n:
-            continue
-        if suffix[start] > 1.0 / (k + 1) + tol:
-            failures.append({"reason": "rate-violated", "k": k, "phi_k": start,
-                             "worst_tail": float(suffix[start])})
-            break
-    return failures
-
-
-def _check_windows(op: AccretiveOperator, kind: str, X, Y, phi: RateFn, K: int,
-                   window_end: LiminfRateFn, k_max: int, m_max: int,
-                   tol: float) -> SequenceModulusReport:
-    """Re-verify the premise on (X, Y), then check that every window
-    [m, window_end(k, m)] with k <= k_max, m <= m_max holds a zero gap
-    <= 1/(k+1) + tol."""
-    pairings, gaps = _pairings_and_gaps(op, X, Y)
-    failures = _certify_premise(X, Y, pairings, phi, K, tol)
-    report = SequenceModulusReport(
-        operator=op.name, kind=kind, K=int(K), tol=tol,
-        premise_certified=not failures, premise_failures=failures,
-    )
-    n = len(X)
-    for k in range(k_max + 1):
-        for m in range(m_max + 1):
-            end = int(window_end(k, m))
-            if end >= n:
-                raise ValueError(
-                    f"sequence too short: window [{m}, {end}] at k={k} "
-                    f"needs {end + 1} terms, have {n}"
-                )
-            best = float(np.min(gaps[m:end + 1]))
-            hit = best <= 1.0 / (k + 1) + tol
-            report.windows.append({"k": k, "m": m, "end": end, "best_gap": best, "hit": hit})
-            if not hit:
-                report.violations.append({"k": k, "m": m, "end": end, "best_gap": best})
-    return report
-
-
-def check_simple_modulus(
-    op: AccretiveOperator,
-    simple: SimpleModulus,
-    X,
-    Y,
-    phi: RateFn,
-    K: int,
-    k_max: int,
-    m_max: int,
-    tol: float,
-) -> SequenceModulusReport:
-    """Check that Omega(K, phi) is a liminf rate for the zero gaps of the
-    graph sequence (X, Y): for k <= k_max and m <= m_max some n in
-    [m, Omega(K,phi)(k,m)] has ||x_n - Px_n|| <= 1/(k+1) + tol.
-
-    The premise (phi a rate of convergence for the pairings, norms <= K) is
-    re-verified on the data; failures mark the report premise-not-certified.
-    Raises ValueError when a window extends past the end of the sequence.
-    """
-    return _check_windows(op, "simple", X, Y, phi, K, simple(K, phi), k_max, m_max, tol)
-
-
-def check_weak_modulus(
-    op: AccretiveOperator,
-    weak: WeakModulus,
-    X,
-    Y,
-    phi: RateFn,
-    K: int,
-    k_max: int,
-    tol: float,
-) -> SequenceModulusReport:
-    """Check that Omega_w(K, phi) is a rate of approximate zeros for the zero
-    gaps of (X, Y): for k <= k_max some n <= Omega_w(K,phi)(k) has
-    ||x_n - Px_n|| <= 1/(k+1) + tol.  This is the m = 0 column of the
-    simple check."""
-    rate = weak(K, phi)
-    return _check_windows(op, "weak", X, Y, phi, K, lambda k, m: rate(k), k_max, 0, tol)

@@ -48,7 +48,6 @@ argument 3k+2 (whose definition then applies its own 3*+2 internally).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -56,7 +55,7 @@ from .errors import ResourceLimitError
 from .moduli import RateFn, WeakModulus, identity_rate, rate_label
 from .operators import AccretiveOperator
 from .semigroup import AlmostOrbit
-from .space import as_point, ceil_norm, eta_hilbert, norm
+from .space import as_point, ceil_norm, norm
 
 __all__ = [
     "INDEX_CAP",
@@ -67,7 +66,6 @@ __all__ = [
     "pairing_dip_rate",
     "orbit_cauchy_threshold",
     "closure_cauchy_threshold",
-    "projection_modulus_from_convexity",
     "projection_modulus_identity",
     "zero_gap_threshold",
     "zero_gap_metastability_bound",
@@ -209,33 +207,6 @@ def closure_cauchy_threshold(
 
 
 # -------------------------------------------------- projection continuity
-
-def projection_modulus_from_convexity(eta: Callable[[float], float] = eta_hilbert):
-    """Uniform-continuity modulus for the zero-set projection derived from a
-    modulus of uniform convexity eta.
-
-    With alpha(eps) = min(1, eps/4, eps*eta(eps)/(4(1-eta(eps)))), points
-    within (1/2) alpha(eps/(1+r)) of each other (and within distance r of the
-    zero set) project within eps.  omega(r, k) is the smallest integer with
-    1/(omega+1) below that radius at eps = 1/(k+1), lifted to >= k.
-    """
-
-    def alpha(eps: float) -> float:
-        e = eta(eps)
-        terms = [1.0, eps / 4.0]
-        if e < 1.0:
-            terms.append(eps * e / (4.0 * (1.0 - e)))
-        return min(terms)
-
-    def omega(r: int, k: int) -> int:
-        eps = (1.0 / (k + 1)) / (1.0 + r)
-        thr = 0.5 * alpha(eps)
-        w = max(0, math.ceil(1.0 / thr) - 1)
-        return max(w, k)
-
-    omega.label = "from-convexity"
-    return omega
-
 
 def projection_modulus_identity():
     """omega(r, k) = k: exact for nonexpansive projections (the Euclidean

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-__all__ = ["Point", "as_point", "norm", "ceil_norm", "eta_hilbert"]
+__all__ = ["Point", "as_point", "norm", "ceil_norm"]
 
 # State vectors are plain 1-d float arrays.
 Point = np.ndarray
@@ -44,13 +44,3 @@ def ceil_norm(value: float, what: str) -> int:
     if not math.isfinite(value):
         raise ResourceLimitError(f"{what} = {value} overflows a float")
     return math.ceil(value)
-
-
-def eta_hilbert(eps: float) -> float:
-    """Modulus of uniform convexity of Hilbert space: 1 - sqrt(1 - eps^2/4).
-
-    Defined for eps in (0, 2], nondecreasing, with values in (0, 1].
-    """
-    if not 0.0 < eps <= 2.0:
-        raise ValueError(f"eps must lie in (0, 2], got {eps}")
-    return 1.0 - math.sqrt(1.0 - eps * eps / 4.0)

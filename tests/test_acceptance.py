@@ -16,10 +16,7 @@ from accretive_flows import (
     NRInputs,
     XuInputs,
     almost_orbit_cauchy_threshold,
-    certified_graph_sequence,
     check_full_modulus,
-    check_simple_modulus,
-    check_weak_modulus,
     cl_error_bound,
     dirichlet_laplacian_1d,
     full_modulus_linear,
@@ -34,10 +31,8 @@ from accretive_flows import (
     orbit_cauchy_threshold,
     orbit_metastability_bound,
     rate_from_spec,
-    registered_pairs,
     resolvent_power,
     run_experiment,
-    simple_from_full,
     verify_flow_pairing_dip,
     verify_integrable_dip,
     verify_metastability,
@@ -192,26 +187,6 @@ def test_criterion_08_rate_of_convergence_certificate():
     )
     assert report.passed, report.violations
     done("8 almost-orbit Cauchy certificate")
-
-
-def test_criterion_09_conversion_chain():
-    done = _timed(10.0)
-    rng = np.random.default_rng(2024)
-    for name, op, full in registered_pairs():
-        simple = simple_from_full(full)
-        weak = weak_from_full(full)
-        for i in range(5):
-            x0 = rng.uniform(-3.0, 3.0, size=op.dim)
-            seq = certified_graph_sequence(op, x0, count=64)
-            rep_s = check_simple_modulus(
-                op, simple, seq.X, seq.Y, seq.phi, seq.K, k_max=3, m_max=3, tol=1e-9,
-            )
-            assert rep_s.passed, (name, i, rep_s.violations[:2])
-            rep_w = check_weak_modulus(
-                op, weak, seq.X, seq.Y, seq.phi, seq.K, k_max=3, tol=1e-9,
-            )
-            assert rep_w.passed, (name, i, rep_w.violations[:2])
-    done("9 conversion chain on the registered zoo")
 
 
 def test_criterion_10_deterministic_reports():

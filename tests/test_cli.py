@@ -259,6 +259,12 @@ def _quartic_grid(**samples):
     # a phi kind that is not registered
     ("xu_meta_scaled_identity.json", "certify-xu-meta",
      {"phi": {"kind": "constant", "value": 5}}, "phi.kind"),
+    # an omega kind and an integrand that are not registered
+    ("xu_meta_scaled_identity.json", "certify-xu-meta",
+     {"omega": {"kind": "from-convexity"}}, "omega.kind"),
+    ("liminf_integral.json", "liminf-check",
+     {"liminf": {"form": "integral", "integrand": "zero", "bound_L": 1.0, "n_max": 20}},
+     "liminf.integrand"),
 ])
 def test_malformed_config_exits_two_and_names_the_field(
     name, command, overrides, field, tmp_path, capsys

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import re
@@ -32,3 +33,40 @@ def test_every_readme_python_block_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+SRC_FILES = sorted(p for p in Path(accretive_flows.__file__).parent.glob("*.py")
+                   if p.name != "__init__.py")  # its imports are re-exports
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, skipping ``__future__``
+    imports and the names listed in its ``__all__``."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in read and name not in exported]
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_flags_an_unread_name():
+    source = "from __future__ import annotations\nimport math\nimport numpy as np\nnp.zeros(1)\n"
+    assert _unused_imports(source) == ["math (line 2)"]

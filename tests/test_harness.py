@@ -12,11 +12,7 @@ from accretive_flows import (
     QuarticWell,
     XuInputs,
     almost_orbit_cauchy_threshold,
-    certified_graph_sequence,
-    check_simple_modulus,
-    check_weak_modulus,
     dirichlet_laplacian_1d,
-    empirical_rate_of_convergence,
     full_modulus_strongly_accretive,
     identity_rate,
     make_almost_orbit,
@@ -28,7 +24,6 @@ from accretive_flows import (
     rate_from_spec,
     registered_pairs,
     run_experiment,
-    simple_from_full,
     verify_flow_pairing_dip,
     verify_integrable_dip,
     verify_metastability,
@@ -298,33 +293,6 @@ def test_registry_laplacian_bound_matches_eigenvalue():
     assert name == "spd-laplacian-1d+laplacian"
     assert math.ceil(1.0 / op.eigenvalues[0]) == 3
     assert full(0, 3) == 3 * 16 - 1
-
-
-# ------------------------------------------------------- certified sequences
-
-def test_empirical_rate_basics():
-    phi = empirical_rate_of_convergence([2.0, 0.9, 0.3, 0.05, 0.01])
-    assert phi(0) == 1   # first index with tail below 1
-    assert phi(2) == 2
-    assert phi(1000) == 5  # beyond the data: clamps to the length
-
-
-def test_conversion_chain_on_registered_zoo(rng):
-    # chained simple and weak moduli hold on certified flow sequences
-    for name, op, full in registered_pairs():
-        simple = simple_from_full(full)
-        weak = weak_from_full(full)
-        for i in range(5):
-            x0 = rng.uniform(-3, 3, size=op.dim)
-            seq = certified_graph_sequence(op, x0, count=64)
-            rep_s = check_simple_modulus(
-                op, simple, seq.X, seq.Y, seq.phi, seq.K, k_max=3, m_max=3, tol=1e-9,
-            )
-            assert rep_s.passed, f"{name} sequence {i} (simple)"
-            rep_w = check_weak_modulus(
-                op, weak, seq.X, seq.Y, seq.phi, seq.K, k_max=3, tol=1e-9,
-            )
-            assert rep_w.passed, f"{name} sequence {i} (weak)"
 
 
 # ------------------------------------------------------------- run_experiment

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from accretive_flows import (
     ResourceLimitError,
     check_full_modulus,
-    check_simple_modulus,
-    check_weak_modulus,
     full_modulus_from_dyadic,
     full_modulus_linear,
     full_modulus_min_eigenvalue,
@@ -178,58 +176,4 @@ def test_full_modulus_scan_needs_exactly_one_source(quartic):
         check_full_modulus(
             quartic, full_modulus_quartic_well(), 5, 2, 1e-9,
             n_samples=10, points=[1.0],
-        )
-
-
-# -------------------------------------------------- sequence window checking
-
-def _constant_zero_sequence(op, length=20):
-    X = np.tile(op.zero_witness(), (length, 1))
-    return X, np.zeros_like(X)
-
-
-def test_sequence_at_zero_passes_trivially(scaled_identity):
-    X, Y = _constant_zero_sequence(scaled_identity)
-    simple = simple_from_full(full_modulus_strongly_accretive(1))
-    report = check_simple_modulus(
-        scaled_identity, simple, X, Y, identity_rate, K=1, k_max=3, m_max=3, tol=1e-9,
-    )
-    assert report.passed
-    weak = weak_from_full(full_modulus_strongly_accretive(1))
-    report_w = check_weak_modulus(
-        scaled_identity, weak, X, Y, identity_rate, K=1, k_max=3, tol=1e-9,
-    )
-    assert report_w.passed
-
-
-def test_flow_samples_with_identity_rate(scaled_identity):
-    # from x = 1 the pairing is e^{-2n} <= 1/(n+1), so the identity is a
-    # genuine rate of convergence
-    ts = np.arange(40.0)
-    X = np.exp(-ts)[:, None]
-    simple = simple_from_full(full_modulus_strongly_accretive(1))
-    report = check_simple_modulus(
-        scaled_identity, simple, X, X.copy(), identity_rate, K=1, k_max=3, m_max=3, tol=1e-9,
-    )
-    assert report.premise_certified
-    assert report.passed
-
-
-def test_stalled_sequence_marks_premise(scaled_identity):
-    X = np.full((30, 1), 2.0)
-    simple = simple_from_full(full_modulus_strongly_accretive(1))
-    report = check_simple_modulus(
-        scaled_identity, simple, X, X.copy(), identity_rate, K=2, k_max=1, m_max=1, tol=1e-9,
-    )
-    assert not report.premise_certified
-    assert any(f["reason"] == "rate-violated" for f in report.premise_failures)
-    assert not report.passed
-
-
-def test_sequence_too_short_raises(scaled_identity):
-    X, Y = _constant_zero_sequence(scaled_identity, length=3)
-    simple = simple_from_full(full_modulus_quartic_well())
-    with pytest.raises(ValueError, match="too short"):
-        check_simple_modulus(
-            scaled_identity, simple, X, Y, identity_rate, K=1, k_max=3, m_max=3, tol=1e-9,
         )

@@ -39,10 +39,8 @@ sys.path.insert(0, str(BENCH_DIR))
 import workloads  # noqa: E402
 
 _CHAIN = "item 1: the Euler chain, which only the euler-chain bench workload runs"
-_SEQUENCE_CHECKS = "item 8: simple and weak modulus checks on a graph sequence"
 _XU_OPERATORS = "item 10: xu scenarios on the SPD and quartic operators"
 _COUNTERFUNCTION = "item 11: a functional that reads its counterfunction"
-_CONVEXITY = "item 13: the from-convexity omega of l^p spaces"
 _STUB = "abstract base-class method; every operator overrides it"
 _RATE_FORM = ("item 7: a counterfunction with f(0) > 0 in a shipped config; "
               "README documents the form")
@@ -57,23 +55,11 @@ ALLOWED = {
     "operators.ScaledIdentity.resolvent": _CHAIN,
     "operators.SPDLinear.resolvent": _CHAIN,
     "operators.QuarticWell.resolvent": _CHAIN,
-    "moduli.SequenceModulusReport.passed": _SEQUENCE_CHECKS,
-    "moduli._certify_premise": _SEQUENCE_CHECKS,
-    "moduli._check_windows": _SEQUENCE_CHECKS,
-    "moduli.check_simple_modulus": _SEQUENCE_CHECKS,
-    "moduli.check_weak_modulus": _SEQUENCE_CHECKS,
-    "harness.certified_graph_sequence": _SEQUENCE_CHECKS,
-    "harness.empirical_rate_of_convergence": _SEQUENCE_CHECKS,
-    "harness.empirical_rate_of_convergence.phi": _SEQUENCE_CHECKS,
     "operators.SPDLinear.graph_norm_bound": _XU_OPERATORS,
     "operators.QuarticWell.graph_norm_bound": _XU_OPERATORS,
     "rates.zero_gap_metastability_bound.g": _COUNTERFUNCTION,
     "rates.orbit_metastability_bound.h": _COUNTERFUNCTION,
     "rates.orbit_metastability_bound.j_fn": _COUNTERFUNCTION,
-    "rates.projection_modulus_from_convexity": _CONVEXITY,
-    "rates.projection_modulus_from_convexity.alpha": _CONVEXITY,
-    "rates.projection_modulus_from_convexity.omega": _CONVEXITY,
-    "space.eta_hilbert": _CONVEXITY,
     "operators.AccretiveOperator.zero_projection_many": _STUB,
     "operators.AccretiveOperator.value_many": _STUB,
     "operators.AccretiveOperator.zero_witness": _STUB,
@@ -87,11 +73,8 @@ ALLOWED = {
                                             "builds it, no report evaluates it",
     "harness._OPERATORS[spd]": "a config-given SPD matrix; README documents the kind, "
                                "shipped configs use spd-laplacian-1d",
-    "harness._OMEGAS[from-convexity]": _CONVEXITY,
     "harness._FUNCTIONALS[from-rate]": "item 11: the first shipped xu-meta config whose phi "
                                        "is not the orbit's own rate",
-    "harness._INTEGRANDS[zero]": "the integrand f = 0, which every dip window passes; "
-                                 "no shipped config asks for it",
     "moduli.rate_from_spec[const]": _RATE_FORM,
     "moduli.rate_from_spec[table]": _RATE_FORM,
 }
