@@ -12,6 +12,7 @@ from accretive_flows import (
     QuarticWell,
     XuInputs,
     almost_orbit_cauchy_threshold,
+    check_full_modulus,
     dirichlet_laplacian_1d,
     full_modulus_strongly_accretive,
     identity_rate,
@@ -293,6 +294,19 @@ def test_registry_laplacian_bound_matches_eigenvalue():
     assert name == "spd-laplacian-1d+laplacian"
     assert math.ceil(1.0 / op.eigenvalues[0]) == 3
     assert full(0, 3) == 3 * 16 - 1
+
+
+@pytest.mark.parametrize("index", range(4), ids=[name for name, _, _ in registered_pairs()])
+def test_registered_full_modulus_holds_near_the_zero_set(index):
+    # random directions at radii 1e-3 .. 10^0.5, so the premise holds at every k
+    name, op, full = registered_pairs()[index]
+    rng = np.random.default_rng(5)
+    direction = rng.normal(size=(3000, op.dim))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    points = direction * np.logspace(-3, 0.5, 3000)[:, None]
+    report = check_full_modulus(op, full, K=4, k_max=6, tol=1e-9, points=points)
+    assert not report.violations, (name, report.violations[:2])
+    assert all(row["n_premise"] > 0 for row in report.per_k), (name, report.per_k)
 
 
 # ------------------------------------------------------------- run_experiment
